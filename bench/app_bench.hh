@@ -2,9 +2,9 @@
  * @file
  * Shared plumbing for the application sweep benches
  * (bench_app_bsort, bench_app_qcd): ladder-row bookkeeping, the full
- * per-variant counter breakdown as JSON, and the sequential-vs-
- * parallel differential every app must pass before its numbers are
- * worth publishing. See docs/APPS.md for the reporting contract.
+ * per-variant counter breakdown as JSON, and the counters-on/off
+ * differential every app must pass before its numbers are worth
+ * publishing. See docs/APPS.md for the reporting contract.
  */
 
 #ifndef T3DSIM_BENCH_APP_BENCH_HH
@@ -13,12 +13,10 @@
 #include <cstdint>
 #include <iostream>
 #include <ostream>
-#include <string>
 #include <vector>
 
 #include "apps/variant.hh"
 #include "probes/counters.hh"
-#include "splitc/config.hh"
 
 namespace t3dsim::appbench
 {
@@ -79,57 +77,35 @@ writeLadderJson(std::ostream &os, const std::vector<LadderRow> &rows,
     os << "  ]";
 }
 
-/** Host-thread counts exercised by the differential. */
-inline const std::vector<int> &
-differentialThreads()
-{
-    static const std::vector<int> threads = {1, 2, 4, 8};
-    return threads;
-}
-
 /**
  * The determinism contract behind every published number: the same
- * run under the sequential scheduler, the parallel scheduler at
- * 1/2/4/8 host threads, and with counters off must finish at the
- * same simulated cycle with the same checksum.
+ * run with counters on and with counters off must finish at the same
+ * simulated cycle with the same checksum.
  *
- * @param run_fn (const splitc::SplitcConfig &, bool counters) ->
- *               LadderRow (only simCycles/checksum/valid are used).
- * @return true if every leg agreed; diagnostics go to stderr.
+ * @param run_fn (bool counters) -> LadderRow (only
+ *               simCycles/checksum/valid are used).
+ * @return true if both legs agreed; diagnostics go to stderr.
  */
 template <typename RunFn>
 bool
 runDifferential(const char *label, RunFn &&run_fn)
 {
-    splitc::SplitcConfig seq;
-    seq.hostThreads = -1;
-    const LadderRow base = run_fn(seq, true);
+    const LadderRow base = run_fn(true);
     if (!base.valid) {
         std::cerr << "FAIL " << label
-                  << ": sequential baseline failed validation\n";
+                  << ": counters-on baseline failed validation\n";
         return false;
     }
-
-    bool ok = true;
-    const auto check = [&](const LadderRow &r, const std::string &leg) {
-        if (r.simCycles != base.simCycles ||
-            r.checksum != base.checksum || !r.valid) {
-            std::cerr << "FAIL " << label << ": " << leg
-                      << " diverged (cycles " << r.simCycles << " vs "
-                      << base.simCycles << ", checksum " << r.checksum
-                      << " vs " << base.checksum << ")\n";
-            ok = false;
-        }
-    };
-
-    for (int n : differentialThreads()) {
-        splitc::SplitcConfig par;
-        par.hostThreads = n;
-        check(run_fn(par, true),
-              std::to_string(n) + " host threads");
+    const LadderRow off = run_fn(false);
+    if (off.simCycles != base.simCycles ||
+        off.checksum != base.checksum || !off.valid) {
+        std::cerr << "FAIL " << label << ": counters off diverged (cycles "
+                  << off.simCycles << " vs " << base.simCycles
+                  << ", checksum " << off.checksum << " vs "
+                  << base.checksum << ")\n";
+        return false;
     }
-    check(run_fn(seq, false), "counters off");
-    return ok;
+    return true;
 }
 
 } // namespace t3dsim::appbench

@@ -4,9 +4,9 @@
  * ladder at 32 and 256 PEs with full per-variant counter breakdowns,
  * a prefetch-depth ablation on the Get rung (the Fig. 6 pipeline
  * story replayed through a face exchange instead of a
- * microbenchmark), and the sequential-vs-parallel differential.
- * Writes BENCH_app_qcd.json; exits non-zero if any run fails
- * validation or the differential diverges.
+ * microbenchmark), and the counters-on/off differential. Writes
+ * BENCH_app_qcd.json; exits non-zero if any run fails validation or
+ * the differential diverges.
  *
  * --quick   32 PEs only, 2^4 local lattice (the CI smoke config).
  * --out=F   output path (default BENCH_app_qcd.json).
@@ -138,18 +138,18 @@ main(int argc, char **argv)
         depth.push_back(row);
     }
 
-    // ---- Sequential-vs-parallel differential ----
+    // ---- Counters-on/off differential ----
     bool differential_ok = true;
     for (Variant v : apps::allVariants) {
         const std::string label =
             std::string("qcd/") + apps::variantName(v);
         differential_ok &= appbench::runDifferential(
             label.c_str(),
-            [&](const splitc::SplitcConfig &sc, bool counters) {
+            [&](bool counters) {
                 machine::MachineConfig mc =
                     machine::MachineConfig::t3d(32);
                 mc.observe.counters = counters;
-                return toRow(apps::qcd::run(cfg, v, mc, sc), 32);
+                return toRow(apps::qcd::run(cfg, v, mc), 32);
             });
     }
     ok &= differential_ok;
@@ -184,8 +184,8 @@ main(int argc, char **argv)
            << "}" << (i + 1 < depth.size() ? "," : "") << "\n";
     }
     os << "  ],\n"
-       << "  \"differential\": {\"pes\": 32, \"host_threads\": [1, 2, "
-          "4, 8], \"counters_modes\": 2, \"ok\": "
+       << "  \"differential\": {\"pes\": 32, \"counters_modes\": 2, "
+          "\"ok\": "
        << (differential_ok ? "true" : "false") << "}\n"
        << "}\n";
     if (!os) {

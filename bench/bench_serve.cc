@@ -21,7 +21,7 @@
  *       compares server batches against.
  *
  * Request lines:  {"id": "j1", "mode": "simulate"|"predict",
- *                  "pes": 8, "host_threads": -1, "trace": false,
+ *                  "pes": 8, "trace": false,
  *                  "graph": {...}}           (schema: docs/TASKGRAPH.md)
  */
 

@@ -8,30 +8,18 @@
  * Besides the google-benchmark micro cases, the binary always runs an
  * end-to-end EM3D-sweep throughput case (all six Figure 9 versions)
  * at 32 and 256 PEs and writes the result to BENCH_sim_speed.json so
- * successive PRs can track the host-performance trajectory. Each PE
- * count is measured with the sequential scheduler (the baseline,
- * host_threads = 0 in the report) and with the host-parallel
- * scheduler at 1, 2, 4 and hardware_concurrency() worker threads;
- * every parallel run must reproduce the baseline's sim_cycles and
- * checksum exactly — a divergence is a scheduler bug and fails the
- * binary. Pass --sweep-only to skip the micro benchmarks.
+ * successive PRs can track the host-performance trajectory. Pass
+ * --sweep-only to skip the micro benchmarks.
  *
- * A second, sequential-only weak-scaling sweep takes the PE count
- * through 256 / 1K / 4K / 16K / 64K (three Figure 9 versions) and
- * reports sim-PE-cycles/s, modeled bytes per PE
+ * A second, weak-scaling sweep takes the PE count through 256 / 1K /
+ * 4K / 16K / 64K (three Figure 9 versions) and reports
+ * sim-PE-cycles/s, modeled bytes per PE
  * (Machine::residentModelBytes) and two host-RSS figures: the
  * process-lifetime peak (ru_maxrss — monotone across rows, so later
  * rows inherit earlier rows' high-water mark) and a current-RSS
  * sample (/proc/self/statm) taken right after the case, which is the
  * per-case figure. Pass --weak-only to run just this sweep,
  * --max-pes=N to cap it.
- *
- * Both modes also record a one_thread_overhead case: the same EM3D
- * sweep under the sequential scheduler and under the
- * ParallelScheduler with a single worker, whose ratio bounds the
- * fixed cost of the windowed machinery (adaptive lookahead lets the
- * solo shard run to its next park in one window, so the ratio should
- * stay near 1; CI asserts <= 1.15).
  */
 
 #include <algorithm>
@@ -169,10 +157,6 @@ sweepConfig()
 struct SweepOutcome
 {
     std::uint32_t pes = 0;
-
-    /** Scheduler worker threads: 0 = sequential baseline. */
-    unsigned hostThreads = 0;
-
     double hostSeconds = 0;
 
     /** Sum over the six versions of the run's elapsed model time. */
@@ -183,27 +167,18 @@ struct SweepOutcome
      *  host retires simulated PE-cycles (the gem5 "host rate"). */
     double simPeCyclesPerHostSecond = 0;
 
-    /** Baseline host time / this host time (1.0 for the baseline). */
-    double speedupVsSequential = 1.0;
-
     /** Sum of per-version checksums: a determinism anchor and a
      *  guard against the work being optimized away. */
     double checksum = 0;
 };
 
 SweepOutcome
-runSweep(std::uint32_t pes, unsigned host_threads)
+runSweep(std::uint32_t pes)
 {
     const em3d::Config cfg = sweepConfig();
-    splitc::SplitcConfig scfg;
-    // 0 = sequential baseline; force it even if T3DSIM_HOST_THREADS
-    // is set in the environment, so the speedup denominator is real.
-    scfg.hostThreads =
-        host_threads == 0 ? -1 : static_cast<int>(host_threads);
 
     SweepOutcome out;
     out.pes = pes;
-    out.hostThreads = host_threads;
 
     // One untimed warmup pass (page cache, allocator), then best of
     // three timed passes: the 32-PE case finishes in milliseconds,
@@ -215,7 +190,7 @@ runSweep(std::uint32_t pes, unsigned host_threads)
         double checksum = 0;
         const auto t0 = std::chrono::steady_clock::now();
         for (em3d::Version v : em3d::allVersions) {
-            const em3d::Result r = em3d::run(cfg, v, pes, scfg);
+            const em3d::Result r = em3d::run(cfg, v, pes);
             sim_cycles += r.elapsed;
             checksum += r.checksum;
         }
@@ -309,8 +284,6 @@ WeakOutcome
 runWeakCase(std::uint32_t pes)
 {
     const em3d::Config cfg = sweepConfig();
-    splitc::SplitcConfig scfg;
-    scfg.hostThreads = -1; // sequential: the capacity baseline
 
     // Three versions keep the big cases tractable while still
     // exercising gets, puts and bulk transfers (the mechanisms with
@@ -332,7 +305,7 @@ runWeakCase(std::uint32_t pes)
         double checksum = 0;
         const auto t0 = std::chrono::steady_clock::now();
         for (em3d::Version v : versions) {
-            const em3d::Result r = em3d::run(cfg, v, pes, scfg);
+            const em3d::Result r = em3d::run(cfg, v, pes);
             sim_cycles += r.elapsed;
             checksum += r.checksum;
             modeled = std::max(modeled, r.modeledBytes);
@@ -357,51 +330,11 @@ runWeakCase(std::uint32_t pes)
 }
 
 // ---------------------------------------------------------------------
-// 1-thread ParallelScheduler overhead (the windowed machinery's tax)
-// ---------------------------------------------------------------------
-
-/** Sequential scheduler vs ParallelScheduler with one worker on the
- *  identical sweep: the ratio is the fixed cost of windows, deferred
- *  outboxes and the merge — everything except actual contention. */
-struct OverheadOutcome
-{
-    bool ran = false;
-    std::uint32_t pes = 0;
-    double sequentialSeconds = 0;
-    double oneThreadSeconds = 0;
-
-    /** oneThreadSeconds / sequentialSeconds (1.0 = free). */
-    double overheadRatio = 0;
-};
-
-OverheadOutcome
-runOverheadCase(std::uint32_t pes, bool &diverged)
-{
-    const SweepOutcome seq = runSweep(pes, 0);
-    const SweepOutcome par = runSweep(pes, 1);
-    if (par.simCycles != seq.simCycles ||
-        par.checksum != seq.checksum) {
-        std::cerr << "error: 1-thread overhead run diverged at pes="
-                  << pes << ": sim_cycles " << par.simCycles << " vs "
-                  << seq.simCycles << ", checksum " << par.checksum
-                  << " vs " << seq.checksum << "\n";
-        diverged = true;
-    }
-    OverheadOutcome out;
-    out.ran = true;
-    out.pes = pes;
-    out.sequentialSeconds = seq.hostSeconds;
-    out.oneThreadSeconds = par.hostSeconds;
-    out.overheadRatio = par.hostSeconds / seq.hostSeconds;
-    return out;
-}
-
-// ---------------------------------------------------------------------
 // Application-suite throughput (docs/APPS.md)
 // ---------------------------------------------------------------------
 
-/** One app-suite case: the full five-rung ladder of one application
- *  under the sequential scheduler. The apps stress shell paths the
+/** One app-suite case: the full five-rung ladder of one
+ *  application. The apps stress shell paths the
  *  EM3D sweep barely touches (all-to-all, dense face exchange), so
  *  their host throughput is tracked separately. */
 struct AppOutcome
@@ -451,13 +384,11 @@ runBsortCase(std::uint32_t pes)
 {
     apps::bsort::Config cfg;
     cfg.keysPerPe = 256;
-    splitc::SplitcConfig scfg;
-    scfg.hostThreads = -1;
     return runAppCase(
         "bsort", pes,
         [&](std::uint64_t &sim_cycles, std::uint64_t &checksum) {
             for (apps::Variant v : apps::allVariants) {
-                const auto r = apps::bsort::run(cfg, v, pes, scfg);
+                const auto r = apps::bsort::run(cfg, v, pes);
                 sim_cycles += r.elapsed;
                 checksum += r.checksum;
             }
@@ -470,13 +401,11 @@ runQcdCase(std::uint32_t pes)
     apps::qcd::Config cfg;
     cfg.lx = cfg.ly = cfg.lz = cfg.lt = 2;
     cfg.sweeps = 1;
-    splitc::SplitcConfig scfg;
-    scfg.hostThreads = -1;
     return runAppCase(
         "qcd", pes,
         [&](std::uint64_t &sim_cycles, std::uint64_t &checksum) {
             for (apps::Variant v : apps::allVariants) {
-                const auto r = apps::qcd::run(cfg, v, pes, scfg);
+                const auto r = apps::qcd::run(cfg, v, pes);
                 sim_cycles += r.elapsed;
                 checksum += r.checksum;
             }
@@ -542,42 +471,11 @@ runModelEval()
     return eval;
 }
 
-/** Worker-thread counts to sweep: 1, 2, 4, and the host's core
- *  count, deduplicated and sorted. */
-std::vector<unsigned>
-threadSweep()
-{
-    std::vector<unsigned> sweep = {1, 2, 4};
-    const unsigned cores = std::thread::hardware_concurrency();
-    if (cores > 0)
-        sweep.push_back(cores);
-    std::sort(sweep.begin(), sweep.end());
-    sweep.erase(std::unique(sweep.begin(), sweep.end()), sweep.end());
-    return sweep;
-}
-
-/** Why the parallel-scheduler sweep was not run ("" = it ran).
- *  hardware_concurrency() reports 0 when the count is unknown; treat
- *  that like a single core rather than publish a speedup the host
- *  cannot have produced. */
-std::string
-sweepSkippedReason()
-{
-    if (std::thread::hardware_concurrency() <= 1)
-        return "host_cores <= 1: scheduler workers cannot run "
-               "concurrently, so speedup_vs_sequential would be a "
-               "misleading ~1.0";
-    return "";
-}
-
 bool
 writeSweepJson(const std::vector<SweepOutcome> &cases,
                const std::vector<WeakOutcome> &weak,
                const std::vector<AppOutcome> &app_cases,
-               const ModelEval &model_eval,
-               const OverheadOutcome &overhead,
-               const std::string &skipped_reason,
-               const std::string &path)
+               const ModelEval &model_eval, const std::string &path)
 {
     const em3d::Config cfg = sweepConfig();
     std::ofstream os(path);
@@ -595,8 +493,6 @@ writeSweepJson(const std::vector<SweepOutcome> &cases,
        << "per-case; host_current_rss_bytes is a /proc/self/statm "
        << "sample taken right after the case and is the per-case "
        << "figure\",\n";
-    if (!skipped_reason.empty())
-        os << "  \"skipped_reason\": \"" << skipped_reason << "\",\n";
     // remote_fraction is a config literal (0.2), not a measurement:
     // print it at input precision, not as the nearest double
     // (0.20000000000000001).
@@ -611,12 +507,10 @@ writeSweepJson(const std::vector<SweepOutcome> &cases,
     for (std::size_t i = 0; i < cases.size(); ++i) {
         const SweepOutcome &c = cases[i];
         os << "    {\"pes\": " << c.pes
-           << ", \"host_threads\": " << c.hostThreads
            << ", \"host_seconds\": " << c.hostSeconds
            << ", \"sim_cycles\": " << c.simCycles
            << ", \"sim_pe_cycles_per_host_second\": "
            << c.simPeCyclesPerHostSecond
-           << ", \"speedup_vs_sequential\": " << c.speedupVsSequential
            << ", \"checksum\": " << c.checksum << "}"
            << (i + 1 < cases.size() ? "," : "") << "\n";
     }
@@ -650,15 +544,6 @@ writeSweepJson(const std::vector<SweepOutcome> &cases,
            << (i + 1 < app_cases.size() ? "," : "") << "\n";
     }
     os << "  ],\n"
-       << "  \"one_thread_overhead\": {\"ran\": "
-       << (overhead.ran ? "true" : "false")
-       << ", \"pes\": " << overhead.pes
-       << ", \"sequential_host_seconds\": "
-       << overhead.sequentialSeconds
-       << ", \"one_thread_host_seconds\": "
-       << overhead.oneThreadSeconds
-       << ", \"overhead_ratio\": " << overhead.overheadRatio
-       << "},\n"
        << "  \"model_eval\": {\"ran\": "
        << (model_eval.ran ? "true" : "false")
        << ", \"ns_per_prediction\": " << model_eval.nsPerPrediction
@@ -702,49 +587,17 @@ main(int argc, char **argv)
         benchmark::RunSpecifiedBenchmarks();
     }
 
-    bool diverged = false;
-    const std::string skipped_reason = sweepSkippedReason();
-    if (!skipped_reason.empty())
-        std::cout << "parallel sweep skipped: " << skipped_reason
-                  << "\n";
     std::vector<SweepOutcome> cases;
-    const std::vector<std::uint32_t> thread_sweep_pes =
-        weak_only ? std::vector<std::uint32_t>{}
-                  : std::vector<std::uint32_t>{32u, 256u};
-    for (std::uint32_t pes : thread_sweep_pes) {
-        const SweepOutcome seq = runSweep(pes, 0);
-        cases.push_back(seq);
-        const std::vector<unsigned> sweep =
-            skipped_reason.empty() ? threadSweep()
-                                   : std::vector<unsigned>{};
-        for (unsigned threads : sweep) {
-            SweepOutcome par = runSweep(pes, threads);
-            par.speedupVsSequential = seq.hostSeconds / par.hostSeconds;
-            // The parallel scheduler claims bit-identical timing:
-            // anything else is a bug, not noise.
-            if (par.simCycles != seq.simCycles ||
-                par.checksum != seq.checksum) {
-                std::cerr << "error: parallel run diverged at pes="
-                          << pes << " host_threads=" << threads
-                          << ": sim_cycles " << par.simCycles
-                          << " vs " << seq.simCycles << ", checksum "
-                          << par.checksum << " vs " << seq.checksum
-                          << "\n";
-                diverged = true;
-            }
-            cases.push_back(par);
-        }
-        for (const SweepOutcome &c : cases) {
-            if (c.pes != pes)
-                continue;
+    if (!weak_only) {
+        for (std::uint32_t pes : {32u, 256u}) {
+            const SweepOutcome c = runSweep(pes);
             std::cout << "em3d_sweep pes=" << c.pes
-                      << " host_threads=" << c.hostThreads
                       << " host_s=" << c.hostSeconds
                       << " sim_cycles=" << c.simCycles
                       << " sim_pe_cycles/s="
                       << c.simPeCyclesPerHostSecond
-                      << " speedup=" << c.speedupVsSequential
                       << " checksum=" << c.checksum << "\n";
+            cases.push_back(c);
         }
     }
     std::vector<WeakOutcome> weak;
@@ -759,15 +612,6 @@ main(int argc, char **argv)
                   << " checksum=" << w.checksum << "\n";
         weak.push_back(w);
     }
-
-    // The 1-thread overhead case runs in both modes (CI's perf-smoke
-    // job uses --weak-only): a single worker needs no concurrency, so
-    // the ratio is meaningful even on a 1-core host.
-    const OverheadOutcome overhead = runOverheadCase(256, diverged);
-    std::cout << "one_thread_overhead pes=" << overhead.pes
-              << " sequential_s=" << overhead.sequentialSeconds
-              << " one_thread_s=" << overhead.oneThreadSeconds
-              << " ratio=" << overhead.overheadRatio << "\n";
 
     std::vector<AppOutcome> app_cases;
     ModelEval model_eval;
@@ -793,11 +637,11 @@ main(int argc, char **argv)
                       << model_eval.simVsModelSpeedup << "\n";
     }
 
-    if (!writeSweepJson(cases, weak, app_cases, model_eval, overhead,
-                        skipped_reason, "BENCH_sim_speed.json")) {
+    if (!writeSweepJson(cases, weak, app_cases, model_eval,
+                        "BENCH_sim_speed.json")) {
         std::cerr << "error: could not write BENCH_sim_speed.json\n";
         return 1;
     }
     std::cout << "wrote BENCH_sim_speed.json\n";
-    return diverged ? 1 : 0;
+    return 0;
 }

@@ -3,21 +3,20 @@
  * t3d-fuzz: seeded differential stress harness (docs/STRESS.md).
  *
  * Generates random-but-race-free Split-C traffic from a seed and
- * cross-checks the sequential scheduler against the host-parallel
- * scheduler at several thread counts: per-PE finish times, memory
- * checksums and per-PE counters must match bit-for-bit.
+ * runs it twice with counters on and once with counters off: per-PE
+ * finish times and memory checksums must match bit-for-bit, and the
+ * two counters-on runs must agree on every per-PE counter.
  *
- *   t3d-fuzz                         # 50-seed corpus, threads 1,2,4,8
+ *   t3d-fuzz                         # 50-seed corpus
  *   t3d-fuzz --seed 7                # one seed
  *   t3d-fuzz --seed 7 --repro        # print the op listing, then run
  *   t3d-fuzz --corpus 10 --base 100  # seeds 100..109
- *   t3d-fuzz --pes 4 --rounds 2 --ops 8 --threads 2,4
+ *   t3d-fuzz --pes 4 --rounds 2 --ops 8
  *   t3d-fuzz --pes 2048 --corpus 2 --rounds 2 --ops 4
  *                                    # large-P differential configs
  *   t3d-fuzz --large-smoke           # fixed 1K/2K/4K-PE smoke corpus
  *   t3d-fuzz --flood 24 --am-slots 8 --ovf-slots 64
  *                                    # drive the AM overflow ring
- *   t3d-fuzz --adaptive-lookahead    # add adaptive-horizon legs
  *   t3d-fuzz --saturate              # AM/message flood demo
  *   t3d-fuzz --json                  # machine-readable report
  *
@@ -28,7 +27,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -52,25 +50,11 @@ struct CliOptions
     std::uint32_t flood = 0;
     std::uint32_t amSlots = 0;
     std::uint32_t ovfSlots = 0;
-    std::vector<int> threads = {1, 2, 4, 8};
-    bool adaptiveLegs = false;
     bool repro = false;
     bool saturate = false;
     bool json = false;
     bool largeSmoke = false;
 };
-
-std::vector<int>
-parseThreads(const std::string &list)
-{
-    std::vector<int> out;
-    std::stringstream ss(list);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(std::stoi(item));
-    return out;
-}
 
 [[noreturn]] void
 usage(int status)
@@ -79,7 +63,6 @@ usage(int status)
         << "usage: t3d-fuzz [--seed N | --corpus N [--base B]]\n"
         << "                [--pes P] [--rounds R] [--ops K]\n"
         << "                [--flood N] [--am-slots Q] [--ovf-slots V]\n"
-        << "                [--threads a,b,c] [--adaptive-lookahead]\n"
         << "                [--repro] [--saturate] [--large-smoke]\n"
         << "                [--json]\n";
     std::exit(status);
@@ -115,10 +98,6 @@ parseArgs(int argc, char **argv)
             opt.amSlots = std::uint32_t(std::stoul(value()));
         } else if (arg == "--ovf-slots") {
             opt.ovfSlots = std::uint32_t(std::stoul(value()));
-        } else if (arg == "--threads") {
-            opt.threads = parseThreads(value());
-        } else if (arg == "--adaptive-lookahead") {
-            opt.adaptiveLegs = true;
         } else if (arg == "--repro") {
             opt.repro = true;
         } else if (arg == "--saturate") {
@@ -218,8 +197,7 @@ main(int argc, char **argv)
     if (opt.json)
         std::cout << "[\n";
     for (std::size_t i = 0; i < configs.size(); ++i) {
-        const auto rep = stress::runDifferential(
-            configs[i], opt.threads, opt.adaptiveLegs);
+        const auto rep = stress::runDifferential(configs[i]);
         if (!rep.pass)
             ++failures;
         if (opt.json) {

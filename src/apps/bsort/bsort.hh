@@ -171,7 +171,7 @@ struct Result
     std::uint64_t keysTotal = 0;
 
     /** FNV-1a over the gathered (globally sorted) key sequence:
-     *  identical across variants and schedulers by construction. */
+     *  identical across variants and counter modes by construction. */
     std::uint64_t checksum = 0;
 
     /** Output matched std::sort of the gathered input keys. */

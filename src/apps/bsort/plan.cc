@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/hash.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "splitc/spread.hh"
@@ -15,12 +16,9 @@ keyOf(std::uint64_t seed, PeId pe, std::uint32_t i)
     // One SplitMix64 step over a per-(pe, i) nonce: random-looking,
     // collision-poor, and O(1) to regenerate anywhere (validation,
     // examples) without carrying the key arrays around.
-    std::uint64_t x = seed ^ (0x9e3779b97f4a7c15ull * (pe + 1)) ^
+    std::uint64_t x = seed ^ (hash::splitMixGamma * (pe + 1)) ^
         (0xbf58476d1ce4e5b9ull * (i + 1));
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
+    return hash::splitMix64(x);
 }
 
 std::vector<std::uint64_t>

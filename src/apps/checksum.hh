@@ -2,8 +2,8 @@
  * @file
  * Output digest shared by the applications: every app reports an
  * FNV-1a checksum of its gathered result so benches and tests can
- * pin bit-identity across variants, schedulers and counter modes
- * with one 64-bit compare.
+ * pin bit-identity across variants and counter modes with one 64-bit
+ * compare.
  */
 
 #ifndef T3DSIM_APPS_CHECKSUM_HH
@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/hash.hh"
+
 namespace t3dsim::apps
 {
 
@@ -19,12 +21,10 @@ namespace t3dsim::apps
 inline std::uint64_t
 fnv1a(const std::vector<std::uint64_t> &xs)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = hash::fnvOffset;
     for (std::uint64_t x : xs) {
-        for (int b = 0; b < 8; ++b) {
-            h ^= (x >> (8 * b)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
+        for (int b = 0; b < 8; ++b)
+            h = hash::fnv1aStep(h, (x >> (8 * b)) & 0xff);
     }
     return h;
 }

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "sim/hash.hh"
 #include "sim/logging.hh"
 #include "splitc/spread.hh"
 
@@ -15,15 +16,11 @@ phi0(std::uint64_t seed, std::uint32_t gx, std::uint32_t gy,
     // One SplitMix64 step over a per-site nonce, mapped to [0, 1):
     // regenerable anywhere (reference sweep, examples) without
     // carrying the field around.
-    std::uint64_t x = seed ^ (0x9e3779b97f4a7c15ull * (gx + 1)) ^
+    std::uint64_t x = seed ^ (hash::splitMixGamma * (gx + 1)) ^
         (0xbf58476d1ce4e5b9ull * (gy + 1)) ^
         (0x94d049bb133111ebull * (gz + 1)) ^
         (0xd6e8feb86659fd93ull * (gt + 1));
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<double>(x >> 11) * 0x1.0p-53;
+    return static_cast<double>(hash::splitMix64(x) >> 11) * 0x1.0p-53;
 }
 
 Plan

@@ -195,7 +195,7 @@ struct Result
     std::uint64_t sitesTotal = 0;
 
     /** FNV-1a over the final lattice bits, gathered in PE order:
-     *  identical across variants and schedulers by construction. */
+     *  identical across variants and counter modes by construction. */
     std::uint64_t checksum = 0;
 
     /** Final lattice matched the sequential reference bitwise. */

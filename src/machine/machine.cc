@@ -2,7 +2,6 @@
 
 #include <fstream>
 
-#include "probes/batch.hh"
 #include "sim/logging.hh"
 
 namespace t3dsim::machine
@@ -47,39 +46,18 @@ Machine::transitCycles(PeId src, PeId dst) const
 void
 Machine::observeTransit(PeId src, PeId dst) const
 {
-    // Host-side accounting only: nothing here reads from or writes to
-    // a Clock, so the transit latency returned to the caller is
-    // untouched.
-    if (probes::CounterBatch *batch = probes::currentCounterBatch()) {
-        // Multi-shard run: the torus tallies are machine-wide mutable
-        // state, so the route defers to the serial window flush.
-        // torusHops goes to the source node's record, which only the
-        // source's own thread ever bumps (transits are charged on the
-        // requester's path), so it stays direct. Traced runs capture
-        // the source clock here so the flush can stamp the replayed
-        // torus counter samples with the observation-time clock
-        // rather than the (later) merge-time one.
-        if (_countersOn)
-            _nodes[src]->counters().torusHops += _torus.hops(src, dst);
-        batch->routes.push_back(
-            {src, dst, _trace ? _nodes[src]->clock().now() : Cycles{0}});
-        return;
-    }
+    // Host-side accounting only: nothing here advances a Clock, so
+    // the transit latency returned to the caller is untouched.
     if (_countersOn)
         _nodes[src]->counters().torusHops += _torus.hops(src, dst);
-    recordDeferredRoute(src, dst,
-                        _trace ? _nodes[src]->clock().now() : Cycles{0});
-}
 
-void
-Machine::recordDeferredRoute(PeId src, PeId dst, Cycles when) const
-{
     const std::array<std::uint64_t, 3> before = _torus.dimTraversals();
     _torus.recordRoute(src, dst);
 
     if (_trace) {
         static const char *const tracks[3] = {"torus.x", "torus.y",
                                               "torus.z"};
+        const Cycles when = _nodes[src]->clock().now();
         const std::array<std::uint64_t, 3> &after =
             _torus.dimTraversals();
         for (unsigned d = 0; d < 3; ++d) {
@@ -92,10 +70,6 @@ Machine::recordDeferredRoute(PeId src, PeId dst, Cycles when) const
 shell::RemoteMemoryPort &
 Machine::remoteMemory(PeId pe)
 {
-    if (_remoteRouter) {
-        if (shell::RemoteMemoryPort *port = _remoteRouter->route(pe))
-            return *port;
-    }
     return node(pe);
 }
 

@@ -23,21 +23,6 @@
 namespace t3dsim::machine
 {
 
-/**
- * Redirects remote-memory accesses while installed (see
- * Machine::setRemoteRouter). The host-parallel scheduler uses this
- * to interpose proxies on cross-shard accesses; route() returning
- * null means "use the destination node directly".
- */
-class RemoteAccessRouter
-{
-  public:
-    virtual ~RemoteAccessRouter() = default;
-
-    /** Port override for accesses to @p dst, or null for the node. */
-    virtual shell::RemoteMemoryPort *route(PeId dst) = 0;
-};
-
 /** A whole T3D. */
 class Machine : public shell::MachinePort
 {
@@ -60,31 +45,12 @@ class Machine : public shell::MachinePort
     /// @}
 
     /**
-     * Install (or clear, with null) a remote-access router. While a
-     * router is installed every remoteMemory() lookup consults it
-     * first. Owned by the caller; must outlive its installation.
-     */
-    void setRemoteRouter(RemoteAccessRouter *router)
-    {
-        _remoteRouter = router;
-    }
-
-    /**
      * Host bytes resident for the modeled machine state: every
      * node's lazily-materialized components plus the barrier
      * network (see DESIGN.md §11). Serial-only (walks node
      * internals); intended for capacity reporting, not hot paths.
      */
     std::size_t residentModelBytes() const;
-
-    /**
-     * Replay one route recording that observeTransit deferred into a
-     * shard's CounterBatch (probes/batch.hh). Serial phases only —
-     * mutates the machine-wide torus tallies and, on traced runs,
-     * emits the per-dimension torus counter samples stamped with
-     * @p when (the source clock captured at observation time).
-     */
-    void recordDeferredRoute(PeId src, PeId dst, Cycles when) const;
 
     /** @name Observability (see docs/OBSERVABILITY.md) */
     /// @{
@@ -131,8 +97,6 @@ class Machine : public shell::MachinePort
 
     /** True when transitCycles must account routes (either channel). */
     bool _transitObs = false;
-
-    RemoteAccessRouter *_remoteRouter = nullptr;
 };
 
 } // namespace t3dsim::machine

@@ -34,132 +34,62 @@ Node::ChannelTable::ChannelTable(std::uint32_t num_pes)
 {
 }
 
-Node::ChannelTable::~ChannelTable()
+std::size_t
+Node::ChannelTable::probe(std::uint32_t key) const
 {
-    forEach([](RequesterChannel &ch) { delete &ch; });
-    delete _table.load(std::memory_order_relaxed);
-}
-
-Node::ChannelTable::Table::Table(std::size_t cap)
-    : capacity(cap),
-      hashShift(64u - static_cast<unsigned>(std::countr_zero(cap))),
-      entries(new Entry[cap])
-{
+    std::size_t i = slotOf(key, _hashShift);
+    while (_sparse[i].key != 0 && _sparse[i].key != key)
+        i = (i + 1) & (_sparse.size() - 1);
+    return i;
 }
 
 Node::RequesterChannel *
 Node::ChannelTable::findSparse(PeId requester) const
 {
-    const Table *t = _table.load(std::memory_order_acquire);
-    if (!t)
+    if (_sparse.empty())
         return nullptr;
-    const std::uint32_t key = requester + 1;
-    std::size_t i = slotOf(key, *t);
-    for (;;) {
-        const std::uint32_t k =
-            t->entries[i].key.load(std::memory_order_acquire);
-        if (k == key)
-            return t->entries[i].chan.load(std::memory_order_relaxed);
-        if (k == 0)
-            return nullptr;
-        i = (i + 1) & (t->capacity - 1);
-    }
+    return _sparse[probe(requester + 1)].chan.get();
 }
 
-Node::ChannelTable::Table *
+void
 Node::ChannelTable::grow(std::size_t capacity)
 {
-    // Called under _insertMutex. Entries move to the new table with
-    // plain (relaxed) stores; the release publication of the table
-    // pointer makes them visible to lock-free readers. The old table
-    // is retired, not freed: a reader may still hold its pointer.
-    auto next = std::make_unique<Table>(capacity);
-    if (Table *old = _table.load(std::memory_order_relaxed)) {
-        for (std::size_t i = 0; i < old->capacity; ++i) {
-            const std::uint32_t k =
-                old->entries[i].key.load(std::memory_order_relaxed);
-            if (k == 0)
-                continue;
-            std::size_t j = slotOf(k, *next);
-            while (next->entries[j].key.load(std::memory_order_relaxed))
-                j = (j + 1) & (next->capacity - 1);
-            next->entries[j].chan.store(
-                old->entries[i].chan.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-            next->entries[j].key.store(k, std::memory_order_relaxed);
-        }
-        _retired.emplace_back(old);
+    std::vector<Entry> old = std::move(_sparse);
+    _sparse = std::vector<Entry>(capacity);
+    _hashShift = 64u - static_cast<unsigned>(std::countr_zero(capacity));
+    for (Entry &entry : old) {
+        if (entry.key != 0)
+            _sparse[probe(entry.key)] = std::move(entry);
     }
-    Table *t = next.release();
-    _table.store(t, std::memory_order_release);
-    return t;
 }
 
 Node::RequesterChannel &
-Node::ChannelTable::getOrCreate(PeId requester,
-                                const mem::DramConfig &config,
-                                probes::PerfCounters *ctr)
+Node::ChannelTable::create(PeId requester, const mem::DramConfig &config,
+                           probes::PerfCounters *ctr)
 {
+    std::unique_ptr<RequesterChannel> *slot;
     if (!_dense.empty()) {
-        // Dense slots have a single writer (their own requester), so
-        // no lock: release-publish pairs with the serial-phase scans.
-        auto &slot = _dense[requester];
-        RequesterChannel *ch = slot.load(std::memory_order_relaxed);
-        if (!ch) {
-            ch = new RequesterChannel(config);
-            if (ctr)
-                ch->dram.setCounters(ctr);
-            slot.store(ch, std::memory_order_release);
-            _count.fetch_add(1, std::memory_order_relaxed);
-        }
-        return *ch;
+        slot = &_dense[requester];
+    } else {
+        if ((_count + 1) * 4 > _sparse.size() * 3)
+            grow(_sparse.empty() ? 16 : _sparse.size() * 2);
+        Entry &entry = _sparse[probe(requester + 1)];
+        entry.key = requester + 1;
+        slot = &entry.chan;
     }
-
-    std::lock_guard<std::mutex> lock(_insertMutex);
-    Table *t = _table.load(std::memory_order_relaxed);
-    const std::uint32_t key = requester + 1;
-    if (t) {
-        std::size_t i = slotOf(key, *t);
-        for (;;) {
-            const std::uint32_t k =
-                t->entries[i].key.load(std::memory_order_relaxed);
-            if (k == key) // lost a race with ourselves? re-entrant find
-                return *t->entries[i].chan.load(std::memory_order_relaxed);
-            if (k == 0)
-                break;
-            i = (i + 1) & (t->capacity - 1);
-        }
-    }
-    const std::size_t count = _count.load(std::memory_order_relaxed);
-    if (!t || (count + 1) * 4 > t->capacity * 3)
-        t = grow(t ? t->capacity * 2 : 16);
-
-    auto *ch = new RequesterChannel(config);
+    *slot = std::make_unique<RequesterChannel>(config);
     if (ctr)
-        ch->dram.setCounters(ctr);
-    std::size_t i = slotOf(key, *t);
-    while (t->entries[i].key.load(std::memory_order_relaxed))
-        i = (i + 1) & (t->capacity - 1);
-    t->entries[i].chan.store(ch, std::memory_order_relaxed);
-    // Release on the key: a reader that acquires the key also sees
-    // the channel pointer and the constructed channel behind it.
-    t->entries[i].key.store(key, std::memory_order_release);
-    _count.fetch_add(1, std::memory_order_relaxed);
-    return *ch;
+        (*slot)->dram.setCounters(ctr);
+    ++_count;
+    return **slot;
 }
 
 std::size_t
 Node::ChannelTable::residentBytes() const
 {
-    std::size_t bytes = sizeof(ChannelTable) +
-                        _dense.capacity() * sizeof(_dense[0]) +
-                        channelCount() * sizeof(RequesterChannel);
-    if (const Table *t = _table.load(std::memory_order_acquire))
-        bytes += sizeof(Table) + t->capacity * sizeof(Entry);
-    bytes += _retired.capacity() * sizeof(_retired[0]);
-    for (const auto &t : _retired)
-        bytes += sizeof(Table) + t->capacity * sizeof(Entry);
-    return bytes;
+    return sizeof(ChannelTable) + _dense.capacity() * sizeof(_dense[0]) +
+           _sparse.capacity() * sizeof(Entry) +
+           _count * sizeof(RequesterChannel);
 }
 
 Addr
@@ -311,51 +241,10 @@ Node::channelFor(PeId requester)
     if (!ch) [[unlikely]] {
         // Remote requesters' accesses are events of this memory, so
         // the new channel inherits this node's counter record.
-        ch = &_channels.getOrCreate(requester, _config.dram,
-                                    countersIfEnabled());
+        ch = &_channels.create(requester, _config.dram,
+                               countersIfEnabled());
     }
-    if (_channelBatching) [[unlikely]]
-        batchChannel(*ch);
     return *ch;
-}
-
-void
-Node::batchChannel(RequesterChannel &ch)
-{
-    probes::CounterBatch *batch = probes::currentCounterBatch();
-    if (!batch || ch.registered)
-        return;
-    // First touch since the last flush: point the channel's bumps at
-    // its local delta (idempotent across windows) and hand the delta
-    // to the touching shard's batch. Single writer — only the
-    // requester's own thread reaches its channel in-window.
-    if (!ch.delta)
-        ch.delta = std::make_unique<probes::PerfCounters>();
-    ch.registered = true;
-    ch.dram.setCounters(ch.delta.get());
-    batch->channels.push_back(
-        {ch.delta.get(), countersIfEnabled(), &ch.registered});
-}
-
-void
-Node::setChannelCounterBatching(bool on)
-{
-    _channelBatching = on;
-    if (on)
-        return;
-    // Serial teardown: restore every channel to the node's record and
-    // fold in anything a final partial window left behind.
-    probes::PerfCounters *ctr = countersIfEnabled();
-    _channels.forEach([ctr](RequesterChannel &ch) {
-        ch.dram.setCounters(ctr);
-        if (ch.registered || ch.delta) {
-            if (ctr && ch.delta)
-                *ctr += *ch.delta;
-            if (ch.delta)
-                *ch.delta = probes::PerfCounters{};
-            ch.registered = false;
-        }
-    });
 }
 
 probes::PerfCounters &
@@ -416,17 +305,6 @@ Node::serviceRead(Cycles arrive, Addr offset, void *dst, std::size_t len,
 }
 
 Cycles
-Node::serviceReadConcurrent(Cycles arrive, Addr offset, void *dst,
-                            std::size_t len, PeId requester)
-{
-    auto access = channelFor(requester).dram.access(arrive, offset);
-    _storage.readBlockConcurrent(offset, dst, len);
-    const Cycles extra = access.offPage
-        ? _config.shell.remoteOffPageExtraCycles : Cycles{0};
-    return access.complete + extra;
-}
-
-Cycles
 Node::serviceWrite(Cycles arrive, Addr offset, const void *src,
                    std::size_t len, bool cache_inval, PeId requester)
 {
@@ -448,7 +326,10 @@ Node::serviceWrite(Cycles arrive, Addr offset, const void *src,
 }
 
 Cycles
-Node::writeMaskedTiming(Cycles arrive, Addr line_offset, PeId requester)
+Node::serviceWriteMasked(Cycles arrive, Addr line_offset,
+                         const std::uint8_t *data,
+                         std::uint32_t byte_mask, bool cache_inval,
+                         PeId requester)
 {
     RequesterChannel &channel = channelFor(requester);
     const Cycles start = std::max(arrive, channel.writePortFree);
@@ -456,30 +337,13 @@ Node::writeMaskedTiming(Cycles arrive, Addr line_offset, PeId requester)
     channel.writePortFree = access.offPage
         ? access.complete
         : access.start + _config.dram.pipelinedBusyCycles;
-    const Cycles extra = access.offPage
-        ? _config.shell.remoteOffPageExtraCycles : Cycles{0};
-    return access.complete + extra;
-}
-
-void
-Node::applyMaskedLine(Addr line_offset, const std::uint8_t *data,
-                      std::uint32_t byte_mask, bool cache_inval)
-{
     _storage.writeMasked(line_offset, data, byte_mask,
                          alpha::wbLineBytes);
     if (cache_inval)
         _dcache.invalidate(line_offset);
-}
-
-Cycles
-Node::serviceWriteMasked(Cycles arrive, Addr line_offset,
-                         const std::uint8_t *data,
-                         std::uint32_t byte_mask, bool cache_inval,
-                         PeId requester)
-{
-    const Cycles done = writeMaskedTiming(arrive, line_offset, requester);
-    applyMaskedLine(line_offset, data, byte_mask, cache_inval);
-    return done;
+    const Cycles extra = access.offPage
+        ? _config.shell.remoteOffPageExtraCycles : Cycles{0};
+    return access.complete + extra;
 }
 
 Cycles
@@ -530,12 +394,6 @@ void
 Node::bulkReadRaw(Addr offset, void *dst, std::size_t len)
 {
     _storage.readBlock(offset, dst, len);
-}
-
-void
-Node::bulkReadRawConcurrent(Addr offset, void *dst, std::size_t len)
-{
-    _storage.readBlockConcurrent(offset, dst, len);
 }
 
 void

@@ -20,11 +20,9 @@
 #ifndef T3DSIM_MACHINE_NODE_HH
 #define T3DSIM_MACHINE_NODE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "alpha/address.hh"
@@ -35,7 +33,6 @@
 #include "machine/config.hh"
 #include "mem/dram.hh"
 #include "mem/storage.hh"
-#include "probes/batch.hh"
 #include "probes/counters.hh"
 #include "probes/trace.hh"
 #include "shell/ports.hh"
@@ -133,35 +130,6 @@ class Node : public shell::RemoteMemoryPort, public alpha::DrainPort
                       std::size_t len) override;
     /// @}
 
-    /**
-     * @name Split service paths for the host-parallel scheduler
-     *
-     * A cross-shard remote write needs its completion time
-     * synchronously (the source's ack/backpressure bookkeeping uses
-     * it) but must not touch the destination's shared state (storage,
-     * dcache) until the window merge. The timing half only touches
-     * the per-requester channel — which no host thread but the
-     * requester's ever accesses — so it is safe in-window; the data
-     * half is applied at the merge. serviceWriteMasked() ==
-     * writeMaskedTiming() + applyMaskedLine(), in that order.
-     */
-    /// @{
-    /** Channel-only timing of a masked line write (no data motion). */
-    Cycles writeMaskedTiming(Cycles arrive, Addr line_offset,
-                             PeId requester);
-
-    /** Data half of a masked line write: storage + cache invalidate. */
-    void applyMaskedLine(Addr line_offset, const std::uint8_t *data,
-                         std::uint32_t byte_mask, bool cache_inval);
-
-    /** serviceRead without the owner-thread storage cache. */
-    Cycles serviceReadConcurrent(Cycles arrive, Addr offset, void *dst,
-                                 std::size_t len, PeId requester);
-
-    /** bulkReadRaw without the owner-thread storage cache. */
-    void bulkReadRawConcurrent(Addr offset, void *dst, std::size_t len);
-    /// @}
-
     /** @name alpha::DrainPort (write-buffer drain routing) */
     /// @{
     DrainResult drainLine(Cycles ready, Addr pa, const std::uint8_t *data,
@@ -210,18 +178,16 @@ class Node : public shell::RemoteMemoryPort, public alpha::DrainPort
     /// @{
     /**
      * This node's event record. The non-const accessor materializes
-     * the (lazily-allocated) record and must only be called from
-     * serial phases; the const accessor never allocates and returns
-     * a shared all-zero record while the node has none.
+     * the (lazily-allocated) record; the const accessor never
+     * allocates and returns a shared all-zero record while the node
+     * has none.
      */
     probes::PerfCounters &counters();
     const probes::PerfCounters &counters() const;
 
     /**
-     * The record when counting is enabled, nullptr otherwise. When
-     * counting is enabled the record was materialized at
-     * enableObservability() time, so this is safe from any host
-     * thread.
+     * The record when counting is enabled (materialized at
+     * enableObservability() time), nullptr otherwise.
      */
     probes::PerfCounters *
     countersIfEnabled()
@@ -235,17 +201,6 @@ class Node : public shell::RemoteMemoryPort, public alpha::DrainPort
      * buffer, DRAM, and shell. Called by the Machine constructor.
      */
     void enableObservability(bool counters_on, probes::TraceSink *trace);
-
-    /**
-     * Toggle per-requester-channel counter batching (see
-     * probes/batch.hh). While on, a channel touched from a thread
-     * with an installed CounterBatch redirects its DRAM counter
-     * bumps into a channel-local delta and registers the delta with
-     * that batch for the serial per-window flush. Turning it off
-     * (serial phases only) rewires every channel to this node's real
-     * record and folds any unflushed delta into it.
-     */
-    void setChannelCounterBatching(bool on);
     /// @}
 
   private:
@@ -283,10 +238,6 @@ class Node : public shell::RemoteMemoryPort, public alpha::DrainPort
      * stalls that stream for the full access, an in-page write only
      * for the column cycle — what makes 16 KB-stride non-blocking
      * writes visibly slower (§5.3).
-     *
-     * A channel is only ever touched from the requester's own
-     * host-execution context, so the parallel scheduler can compute
-     * write timing in-window without racing the owner.
      */
     struct RequesterChannel
     {
@@ -297,91 +248,52 @@ class Node : public shell::RemoteMemoryPort, public alpha::DrainPort
 
         mem::DramController dram;
         Cycles writePortFree = 0;
-
-        /**
-         * @name Counter batching (probes/batch.hh)
-         *
-         * Under a multi-shard counters-on run the channel's DRAM
-         * bumps are redirected into @c delta (materialized on first
-         * registration) instead of this node's record, which the
-         * requester's thread must not touch. Single writer: the
-         * requester's own thread sets @c registered and bumps the
-         * delta; the controller clears both at the serial flush.
-         */
-        /// @{
-        std::unique_ptr<probes::PerfCounters> delta;
-        bool registered = false;
-        /// @}
     };
 
     /**
      * Requester → channel map with two representations. Small
-     * machines keep the historical dense flat array indexed by
-     * requester — a plain load on the remote-access hot path (the
-     * old per-op hash lookups showed up at 256 PEs) — with
-     * atomically published lazily-allocated entries; each slot has a
-     * single writer (its own requester), so dense inserts need no
-     * lock. Beyond densePes the array itself would be the O(P^2)
-     * footprint (512 KB per node at 64K PEs before a single access),
-     * so large machines switch to an open-addressing hash sized by
-     * the requesters actually seen: lookups are lock-free
-     * (acquire-published keys over release-stored channel pointers),
-     * inserts — rare, once per (node, requester) — serialize on a
-     * mutex because distinct requesters on different shards may
-     * insert concurrently. Grown tables are retired, not freed, so a
-     * concurrent reader's table pointer stays valid for the node's
-     * lifetime.
+     * machines keep a dense flat array indexed by requester — a plain
+     * load on the remote-access hot path (per-op hash lookups showed
+     * up at 256 PEs) — with lazily-allocated entries. Beyond densePes
+     * the array itself would be the O(P^2) footprint (512 KB per node
+     * at 64K PEs before a single access), so large machines switch to
+     * an open-addressing hash sized by the requesters actually seen.
      */
     class ChannelTable
     {
       public:
         explicit ChannelTable(std::uint32_t num_pes);
-        ~ChannelTable();
 
-        ChannelTable(const ChannelTable &) = delete;
-        ChannelTable &operator=(const ChannelTable &) = delete;
-
-        /** Lock-free lookup; nullptr if never materialized. */
+        /** Lookup; nullptr if never materialized. */
         RequesterChannel *
         find(PeId requester) const
         {
             if (!_dense.empty())
-                return _dense[requester].load(std::memory_order_relaxed);
+                return _dense[requester].get();
             return findSparse(requester);
         }
 
-        /** Materialize (or return) the channel for @p requester. */
-        RequesterChannel &getOrCreate(PeId requester,
-                                      const mem::DramConfig &config,
-                                      probes::PerfCounters *ctr);
+        /** Materialize the channel for @p requester, which must not
+         *  have one yet (find() returned nullptr). */
+        RequesterChannel &create(PeId requester,
+                                 const mem::DramConfig &config,
+                                 probes::PerfCounters *ctr);
 
-        /** Visit every materialized channel (serial phases only). */
+        /** Visit every materialized channel. */
         template <typename F>
         void
         forEach(F &&f)
         {
-            if (!_dense.empty()) {
-                for (auto &slot : _dense)
-                    if (RequesterChannel *ch =
-                            slot.load(std::memory_order_acquire))
-                        f(*ch);
-                return;
-            }
-            const Table *t = _table.load(std::memory_order_acquire);
-            if (!t)
-                return;
-            for (std::size_t i = 0; i < t->capacity; ++i)
-                if (RequesterChannel *ch = t->entries[i].chan.load(
-                        std::memory_order_acquire))
+            for (auto &ch : _dense)
+                if (ch)
                     f(*ch);
+            for (auto &entry : _sparse)
+                if (entry.chan)
+                    f(*entry.chan);
         }
 
         /** Channels materialized so far. */
-        std::size_t
-        channelCount() const
-        {
-            return _count.load(std::memory_order_relaxed);
-        }
+        std::size_t channelCount() const { return _count; }
 
         /** Host bytes resident (self + tables + channels). */
         std::size_t residentBytes() const;
@@ -392,47 +304,36 @@ class Node : public shell::RemoteMemoryPort, public alpha::DrainPort
       private:
         struct Entry
         {
-            std::atomic<std::uint32_t> key{0}; ///< requester+1; 0 empty
-            std::atomic<RequesterChannel *> chan{nullptr};
+            std::uint32_t key = 0; ///< requester+1; 0 empty
+            std::unique_ptr<RequesterChannel> chan;
         };
 
-        struct Table
-        {
-            explicit Table(std::size_t cap);
-            std::size_t capacity;
-            unsigned hashShift; ///< 64 - log2(capacity)
-            std::unique_ptr<Entry[]> entries;
-        };
-
+        /** Home slot of @p key in a pow-2 table of 2^(64-shift). */
         static std::size_t
-        slotOf(std::uint32_t key, const Table &t)
+        slotOf(std::uint32_t key, unsigned shift)
         {
             return static_cast<std::size_t>(
-                (key * 0x9E3779B97F4A7C15ull) >> t.hashShift);
+                (key * 0x9E3779B97F4A7C15ull) >> shift);
         }
+
+        /** Probe position of @p key in _sparse: its slot or the
+         *  empty slot where it would go. */
+        std::size_t probe(std::uint32_t key) const;
 
         RequesterChannel *findSparse(PeId requester) const;
 
-        /** Rehash into a table of @p capacity; returns it published. */
-        Table *grow(std::size_t capacity);
+        /** Rehash into a table of @p capacity entries. */
+        void grow(std::size_t capacity);
 
-        std::vector<std::atomic<RequesterChannel *>> _dense;
-        std::atomic<Table *> _table{nullptr};
-        std::vector<std::unique_ptr<Table>> _retired;
-        std::mutex _insertMutex;
-        std::atomic<std::size_t> _count{0};
+        std::vector<std::unique_ptr<RequesterChannel>> _dense;
+        std::vector<Entry> _sparse;
+        unsigned _hashShift = 64; ///< 64 - log2(_sparse.size())
+        std::size_t _count = 0;
     };
 
     RequesterChannel &channelFor(PeId requester);
 
-    /** Register @p ch with the calling thread's counter batch
-     *  (channel-batching slow path; see setChannelCounterBatching). */
-    void batchChannel(RequesterChannel &ch);
-
     ChannelTable _channels;
-
-    /** setChannelCounterBatching state. */
-    bool _channelBatching = false;
 
     Addr _allocNext = allocBase;
 

@@ -59,12 +59,11 @@ Storage::~Storage() { destroyChunks(); }
 void
 Storage::destroyChunks()
 {
-    for (auto &gslot : _groups) {
-        Group *g = gslot.load(std::memory_order_relaxed);
+    for (Group *g : _groups) {
         if (!g)
             continue;
-        for (auto &slot : g->slots)
-            delete[] slot.load(std::memory_order_relaxed);
+        for (std::uint8_t *chunk : g->slots)
+            delete[] chunk;
         delete g;
     }
 }
@@ -83,22 +82,14 @@ Storage::chunkFor(Addr addr)
     const Addr key = addr >> _chunkShift;
     if (key == _cachedKey)
         return _cachedChunk;
-    auto &gslot = _groups[key >> groupShift];
-    Group *g = gslot.load(std::memory_order_relaxed);
+    Group *&g = _groups[key >> groupShift];
     if (!g) {
         g = new Group();
-        // Release-publish so a concurrent reader that observes the
-        // group also observes its null slot pointers.
-        gslot.store(g, std::memory_order_release);
         ++_groupsAllocated;
     }
-    auto &slot = g->slots[key & (groupSlots - 1)];
-    std::uint8_t *chunk = slot.load(std::memory_order_relaxed);
+    std::uint8_t *&chunk = g->slots[key & (groupSlots - 1)];
     if (!chunk) {
         chunk = new std::uint8_t[_chunkSize]();
-        // Release-publish so a concurrent reader that observes the
-        // pointer also observes the zero fill.
-        slot.store(chunk, std::memory_order_release);
         ++_chunksAllocated;
     }
     _cachedKey = key;
@@ -112,12 +103,7 @@ Storage::chunkIfPresent(Addr addr) const
     const Addr key = addr >> _chunkShift;
     if (key == _cachedKey)
         return _cachedChunk;
-    const Group *g =
-        _groups[key >> groupShift].load(std::memory_order_relaxed);
-    if (!g)
-        return nullptr;
-    std::uint8_t *chunk =
-        g->slots[key & (groupSlots - 1)].load(std::memory_order_relaxed);
+    std::uint8_t *chunk = chunkAt(key);
     if (!chunk)
         return nullptr;
     _cachedKey = key;
@@ -227,33 +213,13 @@ Storage::readBlock(Addr addr, void *dst, std::size_t len) const
     }
 }
 
-void
-Storage::readBlockConcurrent(Addr addr, void *dst, std::size_t len) const
-{
-    checkRange(addr, len);
-    auto *out = static_cast<std::uint8_t *>(dst);
-    while (len > 0) {
-        std::size_t off = addr & _chunkMask;
-        std::size_t take = std::min(len, _chunkSize - off);
-        const std::uint8_t *chunk = chunkIfPresentConcurrent(addr);
-        if (chunk)
-            std::memcpy(out, chunk + off, take);
-        else
-            std::memset(out, 0, take);
-        out += take;
-        addr += take;
-        len -= take;
-    }
-}
-
 const std::uint8_t *
-Storage::peekSpanConcurrent(Addr addr, std::size_t max_len,
-                            std::size_t &span) const
+Storage::peekSpan(Addr addr, std::size_t max_len, std::size_t &span) const
 {
     checkRange(addr, max_len ? 1 : 0);
     const std::size_t off = addr & _chunkMask;
     span = std::min(max_len, _chunkSize - off);
-    const std::uint8_t *chunk = chunkIfPresentConcurrent(addr);
+    const std::uint8_t *chunk = chunkAt(addr >> _chunkShift);
     return chunk ? chunk + off : nullptr;
 }
 

@@ -18,11 +18,7 @@
  * range is written. An untouched storage therefore costs one small
  * top-level array (a few cache lines for a 128 MB segment) instead
  * of a full slot directory — the flyweight property that makes
- * 64K-node machines affordable. Both levels hold atomic pointers
- * published with release semantics, which makes the lock-free
- * readBlockConcurrent() path safe for the host-parallel scheduler:
- * a worker thread on another shard may read a node's storage while
- * the owner allocates new chunks. Purely host-side: simulated timing
+ * 64K-node machines affordable. Purely host-side: simulated timing
  * is charged by the callers and unaffected.
  *
  * The chunk size is a per-instance power of two. Small-machine nodes
@@ -35,7 +31,6 @@
 #ifndef T3DSIM_MEM_STORAGE_HH
 #define T3DSIM_MEM_STORAGE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -93,29 +88,15 @@ class Storage
     void readBlock(Addr addr, void *dst, std::size_t len) const;
 
     /**
-     * readBlock without the one-entry cache: safe to call from a
-     * host thread other than the owner's while the owner allocates
-     * chunks (group and chunk pointers are published with release
-     * semantics and never freed or moved once materialized).
-     * Byte-level visibility of concurrently written data is the
-     * caller's responsibility — the parallel scheduler only routes
-     * reads here whose producing writes are ordered by simulated
-     * synchronization (and therefore by the window-barrier host
-     * synchronization).
-     */
-    void readBlockConcurrent(Addr addr, void *dst, std::size_t len) const;
-
-    /**
-     * Zero-copy peek at the backing bytes of @p addr, using the
-     * concurrent (cache-free, acquire) lookup path. Sets @p span to
+     * Zero-copy peek at the backing bytes of @p addr. Sets @p span to
      * the number of contiguous bytes available from @p addr to the
      * end of its chunk, capped at @p max_len, and returns a pointer
      * to them — or nullptr if the chunk was never materialized, in
      * which case the span reads as zeros. Lets sparse scans (e.g.
      * the stress harness checksum) skip untouched chunks in O(1).
      */
-    const std::uint8_t *peekSpanConcurrent(Addr addr, std::size_t max_len,
-                                           std::size_t &span) const;
+    const std::uint8_t *peekSpan(Addr addr, std::size_t max_len,
+                                 std::size_t &span) const;
 
     /** Copy @p len bytes from @p src into storage. */
     void writeBlock(Addr addr, const void *src, std::size_t len);
@@ -143,10 +124,10 @@ class Storage
     static constexpr unsigned maxChunkShift = 24;  // 16 MiB
 
   private:
-    /** One directory group: a run of atomic chunk pointers. */
+    /** One directory group: a run of chunk pointers. */
     struct Group
     {
-        std::atomic<std::uint8_t *> slots[groupSlots] = {};
+        std::uint8_t *slots[groupSlots] = {};
     };
 
     static constexpr unsigned groupShift = 8;
@@ -162,16 +143,11 @@ class Storage
     const std::uint8_t *chunkIfPresent(Addr addr) const;
 
     /** Two-level lookup without touching the one-entry cache. */
-    const std::uint8_t *
-    chunkIfPresentConcurrent(Addr addr) const
+    std::uint8_t *
+    chunkAt(Addr key) const
     {
-        const Addr key = addr >> _chunkShift;
-        const Group *g =
-            _groups[key >> groupShift].load(std::memory_order_acquire);
-        if (!g)
-            return nullptr;
-        return g->slots[key & (groupSlots - 1)].load(
-            std::memory_order_acquire);
+        const Group *g = _groups[key >> groupShift];
+        return g ? g->slots[key & (groupSlots - 1)] : nullptr;
     }
 
     void checkRange(Addr addr, std::size_t len) const;
@@ -183,13 +159,12 @@ class Storage
     Addr _chunkMask;
 
     /** Top level: one slot per group; null until materialized. */
-    std::vector<std::atomic<Group *>> _groups;
+    std::vector<Group *> _groups;
     std::size_t _chunksAllocated = 0;
     std::size_t _groupsAllocated = 0;
 
     /** One-entry chunk cache (chunk pointers are stable: chunks are
-     *  never freed or reallocated once materialized). Owner-thread
-     *  only: concurrent readers go through the *Concurrent path. */
+     *  never freed or reallocated once materialized). */
     mutable Addr _cachedKey = noChunk;
     mutable std::uint8_t *_cachedChunk = nullptr;
 };

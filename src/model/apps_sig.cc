@@ -18,15 +18,6 @@ countedConfig(std::uint32_t pes)
     return mc;
 }
 
-/** Sequential scheduler: signatures must not depend on host races. */
-splitc::SplitcConfig
-sequentialConfig()
-{
-    splitc::SplitcConfig sc;
-    sc.hostThreads = -1;
-    return sc;
-}
-
 } // namespace
 
 double
@@ -87,9 +78,8 @@ runEm3dLadder(std::uint32_t pes, const em3d::Config &config)
 {
     std::vector<LadderPoint> ladder;
     for (em3d::Version v : em3d::allVersions) {
-        const em3d::Result r = em3d::run(config, v,
-                                         countedConfig(pes),
-                                         sequentialConfig());
+        const em3d::Result r =
+            em3d::run(config, v, countedConfig(pes));
         LadderPoint pt;
         pt.sig = signatureFromTotals(r.counters, pes);
         pt.sig.workload = "em3d";
@@ -108,8 +98,7 @@ runBsortLadder(std::uint32_t pes, const apps::bsort::Config &config)
     std::vector<LadderPoint> ladder;
     for (apps::Variant v : apps::allVariants) {
         const apps::bsort::Result r =
-            apps::bsort::run(config, v, countedConfig(pes),
-                             sequentialConfig());
+            apps::bsort::run(config, v, countedConfig(pes));
         LadderPoint pt;
         pt.sig = signatureFromTotals(r.counters, pes);
         pt.sig.workload = "bsort";
@@ -127,8 +116,7 @@ runQcdLadder(std::uint32_t pes, const apps::qcd::Config &config)
     std::vector<LadderPoint> ladder;
     for (apps::Variant v : apps::allVariants) {
         const apps::qcd::Result r =
-            apps::qcd::run(config, v, countedConfig(pes),
-                           sequentialConfig());
+            apps::qcd::run(config, v, countedConfig(pes));
         LadderPoint pt;
         pt.sig = signatureFromTotals(r.counters, pes);
         pt.sig.workload = "qcd";

@@ -26,14 +26,6 @@ countedConfig(std::uint32_t pes)
     return config;
 }
 
-splitc::SplitcConfig
-sequentialConfig()
-{
-    splitc::SplitcConfig config;
-    config.hostThreads = -1; // deterministic single-host-thread runs
-    return config;
-}
-
 /** Nonzero counter deltas between two snapshots, scaled. */
 std::vector<std::pair<std::string, double>>
 counterDelta(const PerfCounters &before, const PerfCounters &after,
@@ -183,8 +175,7 @@ splitcReadFixed()
                                              p.node().counters()));
             }
             co_return;
-        },
-        sequentialConfig());
+        });
     return s;
 }
 
@@ -212,8 +203,7 @@ splitcReadDistance()
                               p.node().counters()));
             }
             co_return;
-        },
-        sequentialConfig());
+        });
     return s;
 }
 
@@ -240,8 +230,7 @@ splitcReadAlternate()
                                              p.node().counters()));
             }
             co_return;
-        },
-        sequentialConfig());
+        });
     return s;
 }
 
@@ -273,8 +262,7 @@ splitcPutStream()
                                              p.node().counters()));
             }
             co_return;
-        },
-        sequentialConfig());
+        });
     return s;
 }
 
@@ -304,8 +292,7 @@ splitcGetGroups()
                                              p.node().counters()));
             }
             co_return;
-        },
-        sequentialConfig());
+        });
     return s;
 }
 
@@ -335,8 +322,7 @@ splitcGetDeep()
                                              p.node().counters()));
             }
             co_return;
-        },
-        sequentialConfig());
+        });
     return s;
 }
 
@@ -371,8 +357,7 @@ messagingSweeps(Sweep &send, Sweep &dispatch)
                 }
             }
             co_return;
-        },
-        sequentialConfig());
+        });
 }
 
 Sweep
@@ -395,8 +380,7 @@ fetchIncSweep()
                                              p.node().counters()));
             }
             co_return;
-        },
-        sequentialConfig());
+        });
     return s;
 }
 
@@ -426,8 +410,7 @@ barrierSweep()
                                   p.node().counters(), 1.0 / reps));
                 }
                 co_return;
-            },
-            sequentialConfig());
+            });
     }
     return s;
 }
@@ -461,8 +444,7 @@ bltSweep(bool write)
                                              p.node().counters()));
             }
             co_return;
-        },
-        sequentialConfig());
+        });
     return s;
 }
 
@@ -491,8 +473,7 @@ bulkGetPrefetchSweep()
                                              p.node().counters()));
             }
             co_return;
-        },
-        sequentialConfig());
+        });
     return s;
 }
 

@@ -48,55 +48,10 @@ class TraceSink
     };
 
   public:
-    /**
-     * A shard-local event buffer for host-parallel runs (the trace
-     * twin of probes::CounterBatch). While a batch is installed on a
-     * thread, every record call on that thread appends to the batch
-     * instead of the shared sink; the scheduler's controller flushes
-     * each shard's batch serially at the window merge. Timestamps
-     * come from simulated clocks, so batching reorders only the
-     * host-side storage of events, never their simulated times.
-     */
-    class Batch
-    {
-        friend class TraceSink;
-
-      public:
-        std::size_t pending() const { return _events.size(); }
-
-      private:
-        std::vector<Event> _events;
-    };
-
-    /** Install @p batch (or null) as this thread's trace buffer. */
-    static void installBatch(Batch *batch) { tlsBatch = batch; }
-
-    /** The calling thread's installed batch, or null. */
-    static Batch *installedBatch() { return tlsBatch; }
-
     explicit TraceSink(std::uint32_t num_pes,
                        std::size_t event_cap = 1u << 20)
         : _numPes(num_pes), _cap(event_cap)
     {
-    }
-
-    /**
-     * Serially drain a shard's batch into the sink. The event cap is
-     * applied here (batched appends are never dropped early), so
-     * eventCount() + dropped() match a sequential run's totals;
-     * *which* events survive a capped run may differ, since shards
-     * flush in shard order rather than global record order.
-     */
-    void
-    flush(Batch &batch)
-    {
-        for (const Event &event : batch._events) {
-            if (_events.size() >= _cap)
-                ++_dropped;
-            else
-                _events.push_back(event);
-        }
-        batch._events.clear();
     }
 
     /** @name Recording (inline; called from shell hot paths) */
@@ -146,19 +101,12 @@ class TraceSink
     record(Kind kind, PeId tid, const char *name, Cycles start,
            Cycles end, const char *arg_name, std::uint64_t arg)
     {
-        if (Batch *batch = tlsBatch) {
-            batch->_events.push_back(
-                {name, arg_name, arg, start, end, tid, kind});
-            return;
-        }
         if (_events.size() >= _cap) {
             ++_dropped;
             return;
         }
         _events.push_back({name, arg_name, arg, start, end, tid, kind});
     }
-
-    inline static thread_local Batch *tlsBatch = nullptr;
 
     std::uint32_t _numPes;
     std::size_t _cap;

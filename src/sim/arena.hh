@@ -3,33 +3,25 @@
  * EventArena: a chunked bump-pointer allocator for event-path
  * transients (DESIGN.md §9).
  *
- * Two allocation patterns on the simulator's hot path used the heap
- * per event: the parallel scheduler's deferred-op bulk payloads (one
- * std::vector per cross-shard bulk write, freed at the window merge)
- * and the BLT's per-transfer staging buffers (one or two vectors per
- * transfer, freed before the call returns). Both are strictly
- * scoped — nothing outlives its window or its transfer — which is the
- * textbook arena shape: allocate by bumping a pointer into a chunk,
- * free everything at once by rewinding.
+ * The BLT's per-transfer staging buffers (one or two vectors per
+ * transfer, freed before the call returns) used the heap per event.
+ * They are strictly scoped — nothing outlives its transfer — which is
+ * the textbook arena shape: allocate by bumping a pointer into a
+ * chunk, free everything at once by rewinding.
  *
  * Pointers handed out are stable (chunks never move or grow in
  * place); rewinding keeps every chunk allocated, so a scheduler in
- * steady state performs zero heap traffic per window.
+ * steady state performs zero heap traffic per transfer.
  *
  * Ownership and threading:
- *  - each parallel-scheduler shard owns a *payload* arena (deferred-op
- *    bulk spans; rewound serially in the window merge) and a
- *    *scratch* arena (BLT staging; rewound per transfer);
- *  - the sequential scheduler owns one scratch arena;
+ *  - each Scheduler owns one scratch arena and installs it on the
+ *    thread that calls run(); JobService workers run separate
+ *    schedulers on their own threads, so the installation is
+ *    thread-local;
  *  - ArenaScope allocates from the arena installed on the current
  *    thread (ScratchArenaInstall), falling back to a lazily-created
  *    thread-local arena so shell code works outside any scheduler
  *    (unit tests driving the BLT directly).
- *
- * The payload and scratch arenas must be distinct: a BLT write stages
- * its source bytes in a scratch scope and, under the parallel
- * scheduler, defers the actual write — whose payload must survive the
- * scope's rewind until the window merge.
  */
 
 #ifndef T3DSIM_SIM_ARENA_HH

@@ -1,5 +1,6 @@
 #include "sim/rng.hh"
 
+#include "sim/hash.hh"
 #include "sim/logging.hh"
 
 namespace t3dsim
@@ -7,17 +8,6 @@ namespace t3dsim
 
 namespace
 {
-
-/** SplitMix64 step used to expand the seed into generator state. */
-std::uint64_t
-splitMix64(std::uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
 
 std::uint64_t
 rotl(std::uint64_t x, int k)
@@ -31,7 +21,7 @@ Rng::Rng(std::uint64_t seed)
 {
     std::uint64_t s = seed;
     for (auto &word : _state)
-        word = splitMix64(s);
+        word = hash::splitMix64(s);
 }
 
 std::uint64_t

@@ -98,8 +98,7 @@ struct SplitcConfig
      * with one modeled interrupt per spilled message — a sustained
      * flood becomes an interrupt storm that slows the receiver
      * instead of aborting the run. The counter-based rule makes
-     * placement a pure function of simulated state, so the
-     * sequential and host-parallel schedulers reroute identically.
+     * placement a pure function of simulated state.
      */
     std::uint32_t amQueueSlots = 256;
 
@@ -121,31 +120,11 @@ struct SplitcConfig
     Cycles amOverflowDrainCycles = usToCycles(25.0);
 
     /**
-     * Host worker threads for the scheduler (a host-side knob; it
-     * never changes simulated timing — the parallel scheduler is
-     * bit-identical to the sequential one for race-free programs).
-     *   0  (default) consult T3DSIM_HOST_THREADS; unset or 0 means
-     *      the sequential scheduler
-     *   N >= 1 host-parallel scheduler with N worker threads
-     *   -1 force the sequential scheduler even if the environment
-     *      variable is set (benchmark baselines use this)
+     * Unread; every run uses the one sequential scheduler. Kept only
+     * because perfbench/src still assigns it -1. Remove it together
+     * with those assignments.
      */
     int hostThreads = 0;
-
-    /**
-     * Adaptive lookahead for the host-parallel scheduler (another
-     * pure host-side knob; simulated timing is bit-identical either
-     * way, pinned by tests/splitc/lookahead_test.cc). When on, a
-     * shard's window horizon widens from T + W to
-     * min(other nonempty shards' front keys) + W — sound because
-     * every cross-shard influence on the shard originates at or
-     * after some other shard's front and takes at least W to land
-     * (splitc/lookahead.hh). Comm-sparse phases then run many
-     * resumes per window instead of one per W cycles, and a shard
-     * that is the only one with work runs to its next park in a
-     * single window.
-     */
-    bool adaptiveLookahead = true;
 };
 
 } // namespace t3dsim::splitc

@@ -1,10 +1,7 @@
 #include "splitc/executor.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <limits>
 
-#include "splitc/parallel_executor.hh"
 #include "splitc/proc.hh"
 #include "sim/logging.hh"
 
@@ -133,12 +130,6 @@ Scheduler::amPublishDispatch(PeId pe, bool spilled)
     ++flow.dispatched;
     if (spilled)
         ++flow.spillsDrained;
-}
-
-Scheduler::AmFlowCounts
-Scheduler::amFlowVisible(PeId pe)
-{
-    return _amFlow[pe];
 }
 
 void
@@ -327,8 +318,7 @@ Scheduler::run(const ProgramFn &program)
     } hook_guard{*this};
     installHooks();
 
-    // BLT staging on this thread bumps into the scheduler's arena
-    // (workers of the parallel mainLoop install their shard's own).
+    // BLT staging on this thread bumps into the scheduler's arena.
     sim::ScratchArenaInstall scratch_install(_scratchArena);
 
     _ready.clear();
@@ -364,45 +354,10 @@ Scheduler::run(const ProgramFn &program)
     return finish;
 }
 
-namespace
-{
-
-/**
- * Resolve the worker-thread count for a run: explicit config wins,
- * otherwise the T3DSIM_HOST_THREADS environment variable. Zero means
- * "sequential scheduler".
- */
-unsigned
-resolveHostThreads(const SplitcConfig &config)
-{
-    if (config.hostThreads > 0)
-        return static_cast<unsigned>(config.hostThreads);
-    if (config.hostThreads < 0)
-        return 0;
-
-    const char *env = std::getenv("T3DSIM_HOST_THREADS");
-    if (!env || !*env)
-        return 0;
-    char *end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || parsed < 0) {
-        T3D_PANIC("T3DSIM_HOST_THREADS must be a non-negative integer, "
-                  "got '", env, "'");
-    }
-    return static_cast<unsigned>(parsed);
-}
-
-} // namespace
-
 std::vector<Cycles>
 runSpmd(machine::Machine &machine, const ProgramFn &program,
         const SplitcConfig &config)
 {
-    const unsigned host_threads = resolveHostThreads(config);
-    if (host_threads > 0) {
-        ParallelScheduler sched(machine, config, host_threads);
-        return sched.run(program);
-    }
     Scheduler sched(machine, config);
     return sched.run(program);
 }

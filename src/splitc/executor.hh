@@ -1,7 +1,7 @@
 /**
  * @file
  * SPMD executor: one C++20 coroutine per PE, scheduled
- * lowest-logical-clock-first (conservative parallel discrete event
+ * lowest-logical-clock-first (conservative discrete event
  * execution). Coroutines suspend only at cross-PE wait points —
  * barriers, store_sync, message receive; every other runtime
  * operation charges the local clock and returns normally.
@@ -154,20 +154,14 @@ enum class ProcState : std::uint8_t
 
 /**
  * The SPMD scheduler. Owns the Proc runtime objects and coroutine
- * frames for one run.
- *
- * The base class is the sequential scheduler. ParallelScheduler
- * derives from it and overrides the virtual seams (markReady,
- * queueWakeupCheck, barrierArrive, recordStoreArrival,
- * recordAmArrival, mainLoop) to shard PEs across host threads; the
- * sequential implementations below define the reference timing that
- * the parallel scheduler must reproduce bit-identically.
+ * frames for one run and executes them sequentially on the calling
+ * thread.
  */
 class Scheduler
 {
   public:
     Scheduler(machine::Machine &machine, const SplitcConfig &config);
-    virtual ~Scheduler();
+    ~Scheduler();
 
     Scheduler(const Scheduler &) = delete;
     Scheduler &operator=(const Scheduler &) = delete;
@@ -189,11 +183,9 @@ class Scheduler
     /**
      * Park @p pe in BarrierWait and remember it on the waiter list,
      * so completing the generation wakes exactly the parked PEs
-     * instead of scanning all P slots. The parallel scheduler
-     * overrides this with per-shard lists (parks happen on worker
-     * threads).
+     * instead of scanning all P slots.
      */
-    virtual void parkBarrier(PeId pe);
+    void parkBarrier(PeId pe);
 
     void parkStoreWait(PeId pe, std::uint64_t target_cumulative,
                        bool am_log);
@@ -206,38 +198,31 @@ class Scheduler
      * ready heap totally orders by (clock, pe) — so the list order
      * is as deterministic as the old PE-order scan.
      */
-    virtual void completeBarrier(Cycles exit);
+    void completeBarrier(Cycles exit);
 
     /**
-     * PE @p pe arrived at the barrier at time @p when. The sequential
-     * implementation records the arrival in the barrier network and,
-     * if @p pe was the last arriver, completes the generation. The
-     * parallel scheduler defers the arrival to its window-merge step
-     * so the shared barrier network is only mutated serially.
+     * PE @p pe arrived at the barrier at time @p when: record the
+     * arrival in the barrier network and, if @p pe was the last
+     * arriver, complete the generation.
      */
-    virtual void barrierArrive(PeId pe, Cycles when);
+    void barrierArrive(PeId pe, Cycles when);
 
     /**
      * A signaling store of @p bytes bytes landed at PE @p dst at time
      * @p when; record it in the destination's arrival log (possibly
-     * waking a store_sync waiter). The parallel scheduler defers
-     * cross-shard records to the window merge.
+     * waking a store_sync waiter).
      */
-    virtual void recordStoreArrival(PeId dst, Cycles when,
-                                    std::uint64_t bytes);
+    void recordStoreArrival(PeId dst, Cycles when, std::uint64_t bytes);
 
     /** Like recordStoreArrival, for the active-message arrival log. */
-    virtual void recordAmArrival(PeId dst, Cycles when,
-                                 std::uint64_t count);
+    void recordAmArrival(PeId dst, Cycles when, std::uint64_t count);
 
     /**
      * Deterministic flow account of one receiver's AM queue (§7.4).
      * The deposit path routes between the primary queue and the DRAM
-     * overflow ring on these counters — sampled at the ticket claim,
-     * which both schedulers serialize at the same simulated point —
-     * never on a peek at the receiver's memory, whose host-instant
-     * contents are not ordered by simulated time under the
-     * host-parallel scheduler.
+     * overflow ring on these counters — sampled at the ticket claim —
+     * never on a peek at the receiver's memory, so placement is a
+     * pure function of simulated state.
      */
     struct AmFlowCounts
     {
@@ -251,30 +236,21 @@ class Scheduler
 
     /**
      * The claim-side account of PE @p pe: amDeposit bumps
-     * spillsClaimed through this at the ticket claim, which the
-     * schedulers already serialize (the claim is a fetch&inc grant).
+     * spillsClaimed through this at the ticket claim.
      */
     AmFlowCounts &amFlow(PeId pe) { return _amFlow[pe]; }
 
     /**
      * Receiver publish: PE @p pe dispatched one message (@p spilled:
-     * recovered from the overflow ring). The parallel scheduler
-     * routes the publish through its merge stream so a sender never
-     * observes a dispatch that is still in the receiver's simulated
-     * future.
+     * recovered from the overflow ring).
      */
-    virtual void amPublishDispatch(PeId pe, bool spilled);
+    void amPublishDispatch(PeId pe, bool spilled);
 
-    /**
-     * The flow account of PE @p pe as visible to a deposit at the
-     * current serialization point (for the parallel scheduler:
-     * committed state plus the calling shard's own unmerged
-     * publishes).
-     */
-    virtual AmFlowCounts amFlowVisible(PeId pe);
+    /** The flow account of PE @p pe as visible to a deposit. */
+    AmFlowCounts amFlowVisible(PeId pe) const { return _amFlow[pe]; }
     /// @}
 
-  protected:
+  private:
     /** Min-heap entry: one Ready PE keyed by its logical clock. */
     struct ReadyRef
     {
@@ -294,7 +270,7 @@ class Scheduler
     };
 
     /** Push @p pe (which just became Ready) onto the ready heap. */
-    virtual void markReady(PeId pe);
+    void markReady(PeId pe);
 
     /** Pop the Ready PE with the smallest (clock, pe) key. */
     PeId popReady();
@@ -304,7 +280,7 @@ class Scheduler
      * wake check to run after the current resume (the point the old
      * polling scheduler evaluated wait conditions).
      */
-    virtual void queueWakeupCheck(PeId pe);
+    void queueWakeupCheck(PeId pe);
 
     /**
      * Evaluate @p pe's wait condition; move it to Ready (charging the
@@ -329,8 +305,8 @@ class Scheduler
     bool resumeSlot(PeId pe);
 
     /** The scheduling loop proper; run() wraps it with setup and the
-     *  end-of-run flush. The base implementation is sequential. */
-    virtual void mainLoop();
+     *  end-of-run flush. */
+    void mainLoop();
 
     /** Sync, charge, and requeue one parked barrier waiter. */
     void wakeBarrierWaiter(PeId pe, Cycles exit);
@@ -363,7 +339,7 @@ class Scheduler
     /** PEs with a queued wake check (FIFO). */
     std::vector<PeId> _pendingWakeups;
 
-    /** PEs parked in BarrierWait this generation (sequential path). */
+    /** PEs parked in BarrierWait this generation. */
     std::vector<PeId> _barrierWaiters;
 
     /** PEs whose coroutine has completed. */
@@ -372,21 +348,13 @@ class Scheduler
     bool _running = false;
 
     /** Scratch arena installed on the running thread for the
-     *  duration of run() (BLT staging buffers; sim/arena.hh). The
-     *  parallel scheduler's workers install their own per-shard
-     *  arenas instead. */
+     *  duration of run() (BLT staging buffers; sim/arena.hh). */
     sim::EventArena _scratchArena;
 };
 
 /**
  * Convenience entry point: build a scheduler and run @p program on
  * every PE of @p machine.
- *
- * The scheduler flavor follows config.hostThreads: -1 forces the
- * sequential scheduler, N >= 1 forces the host-parallel scheduler
- * with N worker threads, and 0 (the default) consults the
- * T3DSIM_HOST_THREADS environment variable (unset or 0 means
- * sequential).
  */
 std::vector<Cycles> runSpmd(machine::Machine &machine,
                             const ProgramFn &program,

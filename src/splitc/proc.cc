@@ -375,10 +375,8 @@ Proc::startBarrier()
     _barrierGen = bn.generation();
     _barrierActive = true;
 
-    // The scheduler owns the arrival: sequentially it lands in the
-    // barrier network at once (completing the generation if we are
-    // the last arriver); the parallel scheduler defers it to the
-    // serial window merge.
+    // The scheduler owns the arrival: it lands in the barrier network
+    // at once, completing the generation if we are the last arriver.
     _sched.barrierArrive(pe(), now());
 }
 
@@ -646,10 +644,8 @@ Proc::amDeposit(PeId dst, std::uint64_t tag,
     const std::uint64_t ticket = fetchInc(dst, 0);
 
     // Route the deposit on the receiver's flow account, sampled at
-    // the claim — the serialization point both schedulers place at
-    // the same simulated instant — never on a peek at the receiver's
-    // memory, whose host-instant contents race with the receiver
-    // under the host-parallel scheduler. ticket - dispatched
+    // the claim, never on a peek at the receiver's memory: placement
+    // stays a pure function of simulated state. ticket - dispatched
     // predecessors are undispatched; once they cannot all fit in the
     // primary queue the deposit must take the DRAM overflow ring:
     // writing a freed primary slot ahead of an older spilled message

@@ -14,21 +14,6 @@ namespace t3dsim::stress
 namespace
 {
 
-/** Describe one run configuration for mismatch messages. */
-std::string
-runName(int host_threads, bool counters_on, bool adaptive = false)
-{
-    std::ostringstream os;
-    if (host_threads < 0)
-        os << "sequential";
-    else
-        os << "parallel(" << host_threads << ")";
-    os << (counters_on ? "/counters-on" : "/counters-off");
-    if (adaptive)
-        os << "/adaptive";
-    return os.str();
-}
-
 /** Compare @p run against @p ref; append divergences to @p out. */
 void
 compare(const RunResult &ref, const RunResult &run,
@@ -75,8 +60,7 @@ compare(const RunResult &ref, const RunResult &run,
 } // namespace
 
 RunResult
-runOnce(const Plan &plan, int host_threads, bool counters_on,
-        bool adaptive)
+runOnce(const Plan &plan, bool counters_on)
 {
     machine::MachineConfig mc =
         machine::MachineConfig::t3d(plan.cfg.pes);
@@ -84,8 +68,6 @@ runOnce(const Plan &plan, int host_threads, bool counters_on,
 
     machine::Machine m(mc);
     splitc::SplitcConfig scfg;
-    scfg.hostThreads = host_threads;
-    scfg.adaptiveLookahead = adaptive;
     if (plan.cfg.amQueueSlots != 0)
         scfg.amQueueSlots = plan.cfg.amQueueSlots;
     if (plan.cfg.amOverflowSlots != 0)
@@ -101,35 +83,17 @@ runOnce(const Plan &plan, int host_threads, bool counters_on,
 }
 
 SeedReport
-runDifferential(const StressConfig &cfg,
-                const std::vector<int> &thread_counts,
-                bool adaptive_legs)
+runDifferential(const StressConfig &cfg)
 {
     const Plan plan = Plan::build(cfg);
 
     SeedReport report;
     report.seed = cfg.seed;
-    report.reference = runOnce(plan, /*host_threads=*/-1,
-                               /*counters_on=*/true);
-
-    compare(report.reference,
-            runOnce(plan, -1, /*counters_on=*/false),
-            runName(-1, false), report.mismatches);
-
-    for (int threads : thread_counts) {
-        compare(report.reference, runOnce(plan, threads, true),
-                runName(threads, true), report.mismatches);
-        compare(report.reference, runOnce(plan, threads, false),
-                runName(threads, false), report.mismatches);
-        if (!adaptive_legs)
-            continue;
-        compare(report.reference,
-                runOnce(plan, threads, true, /*adaptive=*/true),
-                runName(threads, true, true), report.mismatches);
-        compare(report.reference,
-                runOnce(plan, threads, false, /*adaptive=*/true),
-                runName(threads, false, true), report.mismatches);
-    }
+    report.reference = runOnce(plan, /*counters_on=*/true);
+    compare(report.reference, runOnce(plan, true), "rerun/counters-on",
+            report.mismatches);
+    compare(report.reference, runOnce(plan, false), "counters-off",
+            report.mismatches);
 
     report.pass = report.mismatches.empty();
     return report;

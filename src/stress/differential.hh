@@ -2,24 +2,15 @@
  * @file
  * Differential checker for the seeded stress generator (t3d-fuzz).
  *
- * One seed is checked by running the identical Plan under:
+ * One seed is checked by running the identical Plan three times:
  *
- *  - the sequential scheduler with counters on (the reference);
- *  - the sequential scheduler with counters off (observability must
- *    not move simulated time);
- *  - the host-parallel scheduler at each requested thread count,
- *    both with counters on (counter records must match exactly —
- *    counters-on runs are genuinely multi-shard: cross-thread bump
- *    sites batch into shard-local deltas flushed per window) and
- *    with counters off;
- *  - optionally (adaptive_legs) the host-parallel scheduler again at
- *    each thread count with adaptive lookahead on, counters on and
- *    off — the widened per-shard horizons must not move a single
- *    timestamp.
+ *  - with counters on (the reference);
+ *  - with counters on again (the run must be deterministic: same
+ *    finish times, checksum and every per-PE counter record);
+ *  - with counters off (observability must not move simulated time).
  *
  * Every run must reproduce the reference per-PE finish times and the
- * memory checksum bit-for-bit; counters-on runs must also reproduce
- * every per-PE counter record.
+ * memory checksum bit-for-bit.
  */
 
 #ifndef T3DSIM_STRESS_DIFFERENTIAL_HH
@@ -47,13 +38,9 @@ struct RunResult
 
 /**
  * Build a fresh Machine and execute @p plan once.
- * @param host_threads -1 sequential, N >= 1 parallel N threads.
  * @param counters_on request per-PE counters.
- * @param adaptive enable adaptive lookahead (parallel runs only; the
- *        base legs pin it off so both horizon policies stay covered).
  */
-RunResult runOnce(const Plan &plan, int host_threads, bool counters_on,
-                  bool adaptive = false);
+RunResult runOnce(const Plan &plan, bool counters_on);
 
 /** Differential verdict for one seed. */
 struct SeedReport
@@ -65,10 +52,8 @@ struct SeedReport
     RunResult reference;
 };
 
-/** Run the full differential matrix for one seed. */
-SeedReport runDifferential(const StressConfig &cfg,
-                           const std::vector<int> &thread_counts,
-                           bool adaptive_legs = false);
+/** Run the differential legs for one seed. */
+SeedReport runDifferential(const StressConfig &cfg);
 
 /**
  * The --saturate demo: a deliberately overloading program — an AM

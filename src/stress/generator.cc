@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "machine/node.hh"
+#include "sim/hash.hh"
 #include "sim/logging.hh"
 #include "splitc/executor.hh"
 #include "splitc/global_ptr.hh"
@@ -30,14 +31,7 @@ struct Rng
 {
     std::uint64_t state;
 
-    std::uint64_t
-    next()
-    {
-        std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
-    }
+    std::uint64_t next() { return hash::splitMix64(state); }
 
     /** Uniform draw in [0, n). */
     std::uint64_t
@@ -86,7 +80,7 @@ accumulate(mem::Storage &storage, const Layout &lay, std::uint32_t cell,
            std::uint64_t v)
 {
     const Addr a = lay.accumBase + Addr(cell) * 8;
-    storage.writeU64(a, storage.readU64(a) * 1099511628211ull ^ v);
+    storage.writeU64(a, storage.readU64(a) * hash::fnvPrime ^ v);
 }
 
 /** Commutative accumulate, for values whose arrival order is
@@ -323,9 +317,7 @@ runPlan(machine::Machine &machine, const Plan &plan,
                  " PEs but the plan wants ", cfg.pes);
 
     // Host-side AM progress, one cell per PE; each cell is only ever
-    // touched by its owning PE's handler (which runs on the owner's
-    // shard thread), so the vector is race-free under the parallel
-    // scheduler.
+    // touched by its owning PE's handler.
     std::vector<std::uint64_t> am_handled(cfg.pes, 0);
 
     return splitc::runSpmd(
@@ -334,9 +326,8 @@ runPlan(machine::Machine &machine, const Plan &plan,
             const PeId me = p.pe();
             auto &storage = p.node().storage();
 
-            // Seed the read-only source region (untimed host fill;
-            // identical cost in both schedulers: none).
-            Rng init{cfg.seed ^ (0x9e3779b97f4a7c15ull * (me + 1))};
+            // Seed the read-only source region (untimed host fill).
+            Rng init{cfg.seed ^ (hash::splitMixGamma * (me + 1))};
             for (std::uint32_t w = 0; w < kConstWords; ++w)
                 storage.writeU64(lay.constBase + Addr(w) * 8, init.next());
 
@@ -477,8 +468,6 @@ runPlan(machine::Machine &machine, const Plan &plan,
 namespace
 {
 
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
 /**
  * Fold @p n zero bytes into an FNV-1a state: XOR with zero is the
  * identity, so each byte contributes only the prime multiply —
@@ -490,7 +479,7 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 std::uint64_t
 fnvFoldZeros(std::uint64_t h, std::uint64_t n)
 {
-    std::uint64_t p = kFnvPrime;
+    std::uint64_t p = hash::fnvPrime;
     while (n) {
         if (n & 1)
             h *= p;
@@ -507,7 +496,7 @@ memoryChecksum(machine::Machine &machine, const Plan &plan)
 {
     const StressConfig &cfg = plan.cfg;
     const Layout &lay = plan.layout;
-    std::uint64_t h = 14695981039346656037ull;
+    std::uint64_t h = hash::fnvOffset;
 
     // Chunk-at-a-time sparse fold: present chunks hash their bytes,
     // absent chunks fast-forward as runs of zeros. Large-P regions
@@ -520,12 +509,9 @@ memoryChecksum(machine::Machine &machine, const Plan &plan)
         while (remaining > 0) {
             std::size_t span = 0;
             const std::uint8_t *p =
-                storage.peekSpanConcurrent(a, remaining, span);
+                storage.peekSpan(a, remaining, span);
             if (p) {
-                for (std::size_t i = 0; i < span; ++i) {
-                    h ^= p[i];
-                    h *= kFnvPrime;
-                }
+                h = hash::fnv1aBytes(p, span, h);
             } else {
                 h = fnvFoldZeros(h, span);
             }

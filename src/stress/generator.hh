@@ -8,13 +8,12 @@
  * vocabulary — blocking remote reads/writes, split-phase get/put,
  * signaling stores, prefetch pipelining, BLT transfers, fetch&inc,
  * atomic swap, Active Messages, hardware messages, and local
- * compute. The same Plan runs under the sequential and the
- * host-parallel scheduler; the differential checker
- * (stress/differential.hh) cross-checks finish times, memory
- * checksums and per-PE counters for exact equality.
+ * compute. The differential checker (stress/differential.hh) runs
+ * the same Plan repeatedly, counters on and off, and cross-checks
+ * finish times, memory checksums and per-PE counters for exact
+ * equality.
  *
- * The generated programs are race-free by construction, so the
- * bit-identical-timing contract of the parallel scheduler applies:
+ * The generated programs are race-free by construction:
  *
  *  - writes land in per-(writer, round-parity) stripes, so no two
  *    PEs ever write the same word in a round;
@@ -31,13 +30,12 @@
  *    of the receiver's flow account at the serialized ticket claim
  *    and each flooded receiver keeps a single sender.
  *
- * Race-free does not mean contention-free, and the schedulers
- * canonicalize contention differently: the sequential scheduler
- * interleaves PEs in run-to-suspension order while the parallel
- * scheduler serializes concurrent atomics in (clock, src) order.
- * Both orders are deterministic and produce identical timing, but
- * values that depend on the interleaving differ. The generator
- * therefore only folds order-stable values into the checksum: each
+ * Race-free does not mean contention-free. The scheduler
+ * interleaves PEs in run-to-suspension order; another equally valid
+ * canonicalization (e.g. serializing concurrent atomics in
+ * (clock, src) order) would produce identical timing but different
+ * interleaving-dependent values. The generator therefore only folds
+ * values that are independent of that choice into the checksum: each
  * round has a single AM sender per receiver (ticket order = program
  * order), swap cells are private to their swapping PE, message
  * payloads fold commutatively (same-cycle arrivals tie-break by
@@ -45,14 +43,14 @@
  * exercised for timing but not folded.
  *
  * Hardware messages additionally have a single sender per receiver
- * per round. With multiple senders, host interleaving can deliver a
+ * per round. With multiple senders, interleaving can deliver a
  * late-arrival message before an early one; a receiver woken at that
  * moment dequeues the late message first and is charged
  * max(now, arrival) + interrupt for it, shifting its clock by a full
  * interrupt relative to the arrival-order dequeue — a timing (not
  * just value) divergence. One sender emits all its messages in one
  * run-to-suspension stretch, so deliveries land consecutively in
- * arrival order under both schedulers.
+ * arrival order.
  */
 
 #ifndef T3DSIM_STRESS_GENERATOR_HH
@@ -205,8 +203,8 @@ struct Plan
 };
 
 /**
- * Execute @p plan on @p machine under the scheduler selected by
- * @p splitc_cfg.hostThreads; returns per-PE finish times.
+ * Execute @p plan on @p machine with @p splitc_cfg; returns per-PE
+ * finish times.
  */
 std::vector<Cycles> runPlan(machine::Machine &machine, const Plan &plan,
                             const splitc::SplitcConfig &splitc_cfg);
@@ -214,8 +212,8 @@ std::vector<Cycles> runPlan(machine::Machine &machine, const Plan &plan,
 /**
  * FNV-1a over every generator-owned region of every PE, in PE
  * order: data banks, BLT landing stripes, scratch, accumulators and
- * swap cells. Uses the lock-free storage read path, so it is safe
- * right after runPlan returns.
+ * swap cells. Absent storage chunks fold as runs of zeros without
+ * being materialized.
  */
 std::uint64_t memoryChecksum(machine::Machine &machine, const Plan &plan);
 

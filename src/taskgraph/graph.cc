@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "model/json.hh"
+#include "sim/hash.hh"
 
 namespace t3dsim::taskgraph
 {
@@ -32,18 +33,6 @@ mechanismName(Mechanism m)
         return "message";
     }
     return "?";
-}
-
-std::uint64_t
-fnv1aBytes(const void *data, std::size_t len, std::uint64_t seed)
-{
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    std::uint64_t h = seed;
-    for (std::size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
 }
 
 namespace
@@ -293,7 +282,7 @@ TaskGraph::contentHash() const
         os << 'e' << e.src << ',' << e.dst << ',' << e.bytes << ','
            << mechanismName(e.mech) << ';';
     const std::string s = os.str();
-    return fnv1aBytes(s.data(), s.size());
+    return hash::fnv1aBytes(s.data(), s.size());
 }
 
 } // namespace t3dsim::taskgraph

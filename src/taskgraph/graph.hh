@@ -117,10 +117,6 @@ struct TaskGraph
     std::uint64_t contentHash() const;
 };
 
-/** FNV-1a over a byte string (shared by the hash helpers). */
-std::uint64_t fnv1aBytes(const void *data, std::size_t len,
-                         std::uint64_t seed = 0xcbf29ce484222325ull);
-
 } // namespace t3dsim::taskgraph
 
 #endif // T3DSIM_TASKGRAPH_GRAPH_HH

@@ -7,12 +7,11 @@
  *
  * The schedule is BSP-style on purpose: each topological level is a
  * superstep (compute phase, barrier, exchange phase, all_store_sync).
- * docs/STRESS.md documents why a free-running ready-queue runtime
- * cannot stay bit-identical across the sequential and host-parallel
- * schedulers (multi-sender AM/message contention canonicalizes
- * differently); level barriers use exactly the app-suite idioms that
- * the determinism tests already pin, so a task-graph run is
- * reproducible at any host thread count.
+ * docs/STRESS.md documents why multi-sender AM/message contention
+ * makes results depend on how the scheduler canonicalizes concurrent
+ * arrivals; level barriers use exactly the app-suite idioms that the
+ * determinism tests already pin, so a task-graph run's results do
+ * not depend on that choice.
  */
 
 #ifndef T3DSIM_TASKGRAPH_LOWER_HH

@@ -5,6 +5,7 @@
 
 #include "machine/config.hh"
 #include "machine/machine.hh"
+#include "sim/hash.hh"
 #include "splitc/executor.hh"
 #include "splitc/global_ptr.hh"
 #include "splitc/proc.hh"
@@ -22,15 +23,12 @@ using splitc::ProcTask;
 constexpr std::uint64_t kAmTag = 0x7467; // "tg"
 constexpr std::uint64_t kFoldSeed = 0x9e3779b97f4a7c15ull;
 
-/** SplitMix64 finalizer: the deterministic value generator for task
- *  results and edge payload words. */
+/** One SplitMix64 step over @p x: the deterministic value generator
+ *  for task results and edge payload words. */
 std::uint64_t
 mix64(std::uint64_t x)
 {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
+    return hash::mix64(x + hash::splitMixGamma);
 }
 
 /** Edge payload word @p w as a pure function of the producer task's
@@ -40,18 +38,6 @@ payloadWord(std::uint64_t producer_result, std::uint32_t edge,
             std::uint32_t w)
 {
     return mix64(producer_result ^ (std::uint64_t{edge} << 32) ^ w);
-}
-
-/** Host-side digest of a cycles vector. */
-std::uint64_t
-fnvCycles(const std::vector<Cycles> &xs)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (Cycles x : xs) {
-        h ^= x;
-        h *= 0x100000001b3ull;
-    }
-    return h;
 }
 
 struct ProgramContext
@@ -217,25 +203,21 @@ simulate(const TaskGraph &graph, const Plan &plan,
     for (std::uint32_t ei = 0; ei < graph.edges.size(); ++ei)
         ctx.inEdges[graph.edges[ei].dst].push_back(ei);
 
-    splitc::SplitcConfig sconfig;
-    sconfig.hostThreads = options.hostThreads;
-
     const std::vector<Cycles> finish = splitc::runSpmd(
-        machine, [&ctx](Proc &p) { return runPe(p, ctx); }, sconfig);
+        machine, [&ctx](Proc &p) { return runPe(p, ctx); });
 
     RunResult result;
     result.levels = plan.levels;
     result.makespanCycles =
         finish.empty() ? 0 : *std::max_element(finish.begin(), finish.end());
-    result.finishHash = fnvCycles(finish);
+    result.finishHash = hash::fnv1aWords(finish);
 
-    std::uint64_t checksum = 0xcbf29ce484222325ull;
+    std::uint64_t checksum = hash::fnvOffset;
     for (std::uint32_t t = 0; t < graph.tasks.size(); ++t) {
         const std::uint64_t r = machine.node(plan.placement[t])
                                     .storage()
                                     .readU64(plan.taskResultAddr[t]);
-        checksum ^= r;
-        checksum *= 0x100000001b3ull;
+        checksum = hash::fnv1aStep(checksum, r);
     }
     result.checksum = checksum;
 

@@ -20,9 +20,8 @@ namespace t3dsim::taskgraph
 
 struct RunOptions
 {
-    /** Host threads for the splitc scheduler: -1 sequential, 0 honor
-     *  T3DSIM_HOST_THREADS, >= 1 that many ParallelScheduler workers.
-     *  Never changes simulated results — only host wall time. */
+    /** Unread; kept only because perfbench/src still assigns it -1.
+     *  Remove it together with that assignment. */
     int hostThreads = -1;
 
     /** Enable the shell-event trace; when @p tracePath is non-empty
@@ -43,9 +42,9 @@ struct RunResult
 
 /**
  * Run @p plan for @p graph on a fresh MachineConfig::t3d(plan.pes)
- * machine. Deterministic: for a fixed (graph, plan), every scheduler
- * flavor and host thread count returns bit-identical makespan,
- * finishHash and checksum (pinned by tests/taskgraph/run_test.cc).
+ * machine. Deterministic: for a fixed (graph, plan), every run
+ * returns bit-identical makespan, finishHash and checksum, traced or
+ * not (pinned by tests/taskgraph/run_test.cc).
  */
 RunResult simulate(const TaskGraph &graph, const Plan &plan,
                    const RunOptions &options = RunOptions{});

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "model/json.hh"
+#include "sim/hash.hh"
 #include "taskgraph/graph.hh"
 #include "taskgraph/predict.hh"
 #include "taskgraph/run.hh"
@@ -60,7 +61,6 @@ struct Request
     std::string id = "?";
     bool predict = false;
     std::uint32_t pes = 8;
-    int hostThreads = -1;
     bool trace = false;
     TaskGraph graph;
     Plan plan;
@@ -79,7 +79,7 @@ machineHashFor(const LowerOptions &opt)
        << opt.putMaxBytes << '|' << opt.bltCrossoverBytes << '|'
        << opt.flopCycles;
     const std::string s = os.str();
-    return fnv1aBytes(s.data(), s.size());
+    return hash::fnv1aBytes(s.data(), s.size());
 }
 
 bool
@@ -113,7 +113,6 @@ parseRequest(const std::string &line, Request &req, std::string &err)
         return false;
     }
     req.pes = static_cast<std::uint32_t>(pes);
-    req.hostThreads = static_cast<int>(doc.numberOr("host_threads", -1));
     req.trace = doc["trace"].isBool() && doc["trace"].boolean();
 
     if (!doc.has("graph")) {
@@ -136,8 +135,8 @@ parseRequest(const std::string &line, Request &req, std::string &err)
 }
 
 /** Execute and render the response fragment past the id/cache
- *  fields. Scheduler-invariant: nothing here depends on
- *  host_threads, so cached fragments are valid for every client. */
+ *  fields. Depends only on the cache key's inputs, so cached
+ *  fragments are valid for every client. */
 std::string
 executePayload(const Request &req, const model::CostModel &model,
                const std::string &trace_dir)
@@ -174,7 +173,6 @@ executePayload(const Request &req, const model::CostModel &model,
     }
 
     RunOptions ropt;
-    ropt.hostThreads = req.hostThreads;
     if (req.trace) {
         ropt.trace = true;
         if (!trace_dir.empty())

@@ -152,23 +152,23 @@ TEST(Storage, GroupsMaterializeLazily)
     EXPECT_GT(s.residentBytes(), empty_bytes);
 }
 
-TEST(Storage, PeekSpanConcurrent)
+TEST(Storage, PeekSpan)
 {
     Storage s;
     std::size_t span = 0;
 
     // Untouched chunk: null pointer, span still clamped to the
     // chunk boundary (the caller fast-forwards that many zeros).
-    EXPECT_EQ(s.peekSpanConcurrent(0, 128, span), nullptr);
+    EXPECT_EQ(s.peekSpan(0, 128, span), nullptr);
     EXPECT_EQ(span, 128u);
-    EXPECT_EQ(s.peekSpanConcurrent(Storage::chunkBytes - 16, 4096, span),
+    EXPECT_EQ(s.peekSpan(Storage::chunkBytes - 16, 4096, span),
               nullptr);
     EXPECT_EQ(span, 16u) << "span never crosses a chunk boundary";
     EXPECT_EQ(s.chunksAllocated(), 0u) << "peek must not materialize";
 
     // Present chunk: direct pointer to the backing bytes.
     s.writeU64(32, 0x1122334455667788ull);
-    const std::uint8_t *p = s.peekSpanConcurrent(32, 8, span);
+    const std::uint8_t *p = s.peekSpan(32, 8, span);
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(span, 8u);
     std::uint64_t v = 0;
@@ -176,7 +176,7 @@ TEST(Storage, PeekSpanConcurrent)
     EXPECT_EQ(v, 0x1122334455667788ull);
 
     // Span from mid-chunk runs to the chunk end, capped by max_len.
-    p = s.peekSpanConcurrent(Storage::chunkBytes - 8, 4096, span);
+    p = s.peekSpan(Storage::chunkBytes - 8, 4096, span);
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(span, 8u);
 }

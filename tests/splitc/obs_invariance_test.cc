@@ -9,12 +9,6 @@
  * simulated results — EM3D elapsed cycles and checksums, and per-PE
  * finish times for the scheduler stress shapes whose wakeup paths
  * carry the heaviest instrumentation.
- *
- * The host-parallel scheduler must uphold the same invariant: every
- * shape here also runs under 1/2/4/8 worker threads — genuinely
- * multi-shard with counters and tracing on, both batching into
- * shard-local records flushed at window merges — and must match the
- * sequential run bit-for-bit.
  */
 
 #include <cstdint>
@@ -25,6 +19,7 @@
 #include "em3d/em3d.hh"
 #include "machine/machine.hh"
 #include "probes/counters.hh"
+#include "sim/hash.hh"
 #include "splitc/executor.hh"
 #include "splitc/proc.hh"
 
@@ -38,30 +33,6 @@ using splitc::GlobalAddr;
 using splitc::Proc;
 using splitc::ProcTask;
 using splitc::runSpmd;
-
-/** FNV-1a over a finish-time vector: one word per PE. */
-std::uint64_t
-finishHash(const std::vector<Cycles> &finish)
-{
-    std::uint64_t h = 14695981039346656037ull;
-    for (Cycles c : finish) {
-        h ^= static_cast<std::uint64_t>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-/** Scheduler selection: -1 sequential, N >= 1 parallel N threads. */
-splitc::SplitcConfig
-withHostThreads(int host_threads)
-{
-    splitc::SplitcConfig cfg;
-    cfg.hostThreads = host_threads;
-    return cfg;
-}
-
-constexpr int kSequential = -1;
-constexpr int kThreadSweep[] = {1, 2, 4, 8};
 
 /** Machine config with every observability channel on. */
 MachineConfig
@@ -105,8 +76,7 @@ TEST(ObsInvariance, Em3dIdenticalWithObservabilityOn)
 /** The sched_determinism store-push shape: store_sync wakeups,
  *  barriers and the write pipeline all on the critical path. */
 std::vector<Cycles>
-runStorePush(const MachineConfig &machine_config, int iters,
-             const splitc::SplitcConfig &cfg = {})
+runStorePush(const MachineConfig &machine_config, int iters)
 {
     Machine m(machine_config);
     constexpr Addr valsBase = 0x40000;
@@ -146,7 +116,7 @@ runStorePush(const MachineConfig &machine_config, int iters,
             co_await p.barrier();
         }
         co_return;
-    }, cfg);
+    });
 }
 
 TEST(ObsInvariance, StorePushFinishTimesIdentical)
@@ -155,15 +125,14 @@ TEST(ObsInvariance, StorePushFinishTimesIdentical)
         const auto off = runStorePush(MachineConfig::t3d(pes), 3);
         const auto on = runStorePush(observedT3d(pes), 3);
         EXPECT_EQ(off, on) << "at " << pes << " PEs";
-        EXPECT_EQ(finishHash(off), finishHash(on))
+        EXPECT_EQ(hash::fnv1aWords(off), hash::fnv1aWords(on))
             << "at " << pes << " PEs";
     }
 }
 
 /** Mixed shell traffic: messages, fetch&inc, AMs, bulk transfers. */
 std::vector<Cycles>
-runMixedShellTraffic(const MachineConfig &machine_config,
-                     const splitc::SplitcConfig &cfg = {})
+runMixedShellTraffic(const MachineConfig &machine_config)
 {
     Machine m(machine_config);
     constexpr Addr bufBase = 0x60000;
@@ -192,7 +161,7 @@ runMixedShellTraffic(const MachineConfig &machine_config,
         EXPECT_EQ(msg.words[1], 1u);
         co_await p.barrier();
         co_return;
-    }, cfg);
+    });
 }
 
 TEST(ObsInvariance, MixedShellTrafficIdentical)
@@ -200,67 +169,6 @@ TEST(ObsInvariance, MixedShellTrafficIdentical)
     const auto off = runMixedShellTraffic(MachineConfig::t3d(16));
     const auto on = runMixedShellTraffic(observedT3d(16));
     EXPECT_EQ(off, on);
-}
-
-// ---------------------------------------------------------------------
-// Host-parallel scheduler: the same invariance, at 1/2/4/8 workers
-// ---------------------------------------------------------------------
-
-TEST(ObsInvariance, ParallelEm3dIdenticalWithObservabilityOn)
-{
-    for (std::uint32_t pes : {4u, 8u}) {
-        for (em3d::Version v : {em3d::Version::Get, em3d::Version::Put}) {
-            const auto seq = em3d::run(smallEm3d(), v, observedT3d(pes),
-                                       withHostThreads(kSequential));
-            for (int threads : kThreadSweep) {
-                const auto par = em3d::run(smallEm3d(), v,
-                                           observedT3d(pes),
-                                           withHostThreads(threads));
-                EXPECT_EQ(par.elapsed, seq.elapsed)
-                    << em3d::versionName(v) << " at " << pes
-                    << " PEs, " << threads << " host threads";
-                EXPECT_EQ(par.checksum, seq.checksum)
-                    << em3d::versionName(v) << " at " << pes
-                    << " PEs, " << threads << " host threads";
-            }
-        }
-    }
-}
-
-TEST(ObsInvariance, ParallelStorePushIdenticalObservedAndNot)
-{
-    for (std::uint32_t pes : {8u, 32u}) {
-        const auto seq = runStorePush(MachineConfig::t3d(pes), 3,
-                                      withHostThreads(kSequential));
-        for (int threads : kThreadSweep) {
-            EXPECT_EQ(runStorePush(MachineConfig::t3d(pes), 3,
-                                   withHostThreads(threads)),
-                      seq)
-                << pes << " PEs, " << threads << " host threads, obs off";
-            EXPECT_EQ(runStorePush(observedT3d(pes), 3,
-                                   withHostThreads(threads)),
-                      seq)
-                << pes << " PEs, " << threads << " host threads, obs on";
-        }
-    }
-}
-
-TEST(ObsInvariance, ParallelMixedShellTrafficMatchesSequential)
-{
-    // Messages, fetch&inc (the grant path), prefetch gets and bulk
-    // transfers all crossing shard boundaries.
-    const auto seq = runMixedShellTraffic(MachineConfig::t3d(16),
-                                          withHostThreads(kSequential));
-    for (int threads : kThreadSweep) {
-        EXPECT_EQ(runMixedShellTraffic(MachineConfig::t3d(16),
-                                       withHostThreads(threads)),
-                  seq)
-            << threads << " host threads";
-        EXPECT_EQ(runMixedShellTraffic(observedT3d(16),
-                                       withHostThreads(threads)),
-                  seq)
-            << threads << " host threads (observed)";
-    }
 }
 
 #if T3D_OBS_ENABLED

@@ -13,11 +13,9 @@
  *     rewrite that shifts model time fails loudly;
  *  3. stress shapes — every PE parked in store_sync / barrier /
  *     message-wait at once — exercise the wakeup path where an
- *     indexed scheduler is most tempted to cut corners;
- *  4. the host-parallel scheduler run at 1/2/4/8 worker threads
- *     reproduces the sequential finish times bit-identically for
- *     every shape above (the tentpole invariant of the sharded
- *     lookahead-window scheduler).
+ *     indexed scheduler is most tempted to cut corners; the
+ *     non-power-of-two PE counts (48, 100) leave the barrier radix
+ *     tree with partial leaf groups and partial upper levels.
  */
 
 #include <cstdint>
@@ -27,6 +25,7 @@
 
 #include "em3d/em3d.hh"
 #include "machine/machine.hh"
+#include "sim/hash.hh"
 #include "splitc/executor.hh"
 #include "splitc/proc.hh"
 
@@ -40,30 +39,6 @@ using splitc::GlobalAddr;
 using splitc::Proc;
 using splitc::ProcTask;
 using splitc::runSpmd;
-
-/** Scheduler selection: -1 sequential, N >= 1 parallel N threads. */
-splitc::SplitcConfig
-withHostThreads(int host_threads)
-{
-    splitc::SplitcConfig cfg;
-    cfg.hostThreads = host_threads;
-    return cfg;
-}
-
-constexpr int kSequential = -1;
-constexpr int kThreadSweep[] = {1, 2, 4, 8};
-
-/** FNV-1a over a finish-time vector: one word per PE. */
-std::uint64_t
-finishHash(const std::vector<Cycles> &finish)
-{
-    std::uint64_t h = 14695981039346656037ull;
-    for (Cycles c : finish) {
-        h ^= static_cast<std::uint64_t>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 // ---------------------------------------------------------------------
 // Fig. 9-style EM3D configs
@@ -127,8 +102,7 @@ TEST(SchedDeterminism, Em3dMatchesSeedGolden)
 // ---------------------------------------------------------------------
 
 std::vector<Cycles>
-runStorePush(std::uint32_t pes, int iters,
-             const splitc::SplitcConfig &cfg = {})
+runStorePush(std::uint32_t pes, int iters)
 {
     Machine m(MachineConfig::t3d(pes));
     constexpr Addr valsBase = 0x40000;
@@ -172,29 +146,34 @@ runStorePush(std::uint32_t pes, int iters,
             co_await p.barrier();
         }
         co_return;
-    }, cfg);
+    });
 }
 
 TEST(SchedDeterminism, StorePushFinishTimes)
 {
-    // Golden finish-time hashes recorded from the seed scheduler.
+    // Golden finish-time hashes: 4-32 PEs (3 iterations) recorded
+    // from the seed scheduler, the non-power-of-two 48/100-PE shapes
+    // (2 iterations) from the min-heap scheduler.
     struct Golden
     {
         std::uint32_t pes;
+        int iters;
         std::uint64_t hash;
     };
     const Golden goldens[] = {
-        {4, 6639824912095917541ull},
-        {8, 8075835568684726093ull},
-        {16, 888021799176107349ull},
-        {32, 12136788156465987205ull},
+        {4, 3, 6639824912095917541ull},
+        {8, 3, 8075835568684726093ull},
+        {16, 3, 888021799176107349ull},
+        {32, 3, 12136788156465987205ull},
+        {48, 2, 5666876705388027877ull},
+        {100, 2, 5307398628184579333ull},
     };
     for (const auto &g : goldens) {
-        const auto first = runStorePush(g.pes, 3);
-        const auto second = runStorePush(g.pes, 3);
+        const auto first = runStorePush(g.pes, g.iters);
+        const auto second = runStorePush(g.pes, g.iters);
         ASSERT_EQ(first.size(), g.pes);
         EXPECT_EQ(first, second) << "at " << g.pes << " PEs";
-        EXPECT_EQ(finishHash(first), g.hash)
+        EXPECT_EQ(hash::fnv1aWords(first), g.hash)
             << "at " << g.pes << " PEs";
     }
 }
@@ -207,8 +186,7 @@ TEST(SchedDeterminism, StorePushFinishTimes)
  *  a long stretch, then feeds them all. Exercises mass wakeup from
  *  one producer's resume. */
 std::vector<Cycles>
-runAllParkedInStoreSync(std::uint32_t pes,
-                        const splitc::SplitcConfig &cfg = {})
+runAllParkedInStoreSync(std::uint32_t pes)
 {
     Machine m(MachineConfig::t3d(pes));
     constexpr Addr ghostBase = 0x50000;
@@ -229,7 +207,7 @@ runAllParkedInStoreSync(std::uint32_t pes,
         }
         co_await p.barrier();
         co_return;
-    }, cfg);
+    });
 }
 
 TEST(SchedDeterminism, AllParkedInStoreSync)
@@ -238,13 +216,12 @@ TEST(SchedDeterminism, AllParkedInStoreSync)
     const auto first = runAllParkedInStoreSync(32);
     const auto second = runAllParkedInStoreSync(32);
     EXPECT_EQ(first, second);
-    EXPECT_EQ(finishHash(first), golden32);
+    EXPECT_EQ(hash::fnv1aWords(first), golden32);
 }
 
 /** Every PE but 0 parks waiting for a user-level message. */
 std::vector<Cycles>
-runAllParkedInMessageWait(std::uint32_t pes,
-                          const splitc::SplitcConfig &cfg = {})
+runAllParkedInMessageWait(std::uint32_t pes)
 {
     Machine m(MachineConfig::t3d(pes));
     return runSpmd(m, [&](Proc &p) -> ProcTask {
@@ -259,7 +236,7 @@ runAllParkedInMessageWait(std::uint32_t pes,
         }
         co_await p.barrier();
         co_return;
-    }, cfg);
+    });
 }
 
 TEST(SchedDeterminism, AllParkedInMessageWait)
@@ -268,13 +245,13 @@ TEST(SchedDeterminism, AllParkedInMessageWait)
     const auto first = runAllParkedInMessageWait(16);
     const auto second = runAllParkedInMessageWait(16);
     EXPECT_EQ(first, second);
-    EXPECT_EQ(finishHash(first), golden16);
+    EXPECT_EQ(hash::fnv1aWords(first), golden16);
 }
 
 /** Every PE parks in the barrier with skewed arrival order (highest
  *  PE arrives first). */
 std::vector<Cycles>
-runSkewedBarrier(std::uint32_t pes, const splitc::SplitcConfig &cfg = {})
+runSkewedBarrier(std::uint32_t pes)
 {
     Machine m(MachineConfig::t3d(pes));
     return runSpmd(m, [&](Proc &p) -> ProcTask {
@@ -283,114 +260,28 @@ runSkewedBarrier(std::uint32_t pes, const splitc::SplitcConfig &cfg = {})
             co_await p.barrier();
         }
         co_return;
-    }, cfg);
+    });
 }
 
 TEST(SchedDeterminism, SkewedBarrierWaves)
 {
-    const std::uint64_t golden32 = 6806815936650454565ull;
-    const auto first = runSkewedBarrier(32);
-    const auto second = runSkewedBarrier(32);
-    EXPECT_EQ(first, second);
-    EXPECT_EQ(finishHash(first), golden32);
-}
-
-// ---------------------------------------------------------------------
-// Host-parallel scheduler: every shape above, at 1/2/4/8 worker
-// threads, diffed against the sequential reference run
-// ---------------------------------------------------------------------
-
-TEST(SchedDeterminism, ParallelEm3dMatchesSequential)
-{
-    for (std::uint32_t pes : {4u, 8u}) {
-        for (em3d::Version v :
-             {em3d::Version::Get, em3d::Version::Put,
-              em3d::Version::Bulk}) {
-            const auto seq = em3d::run(smallEm3d(), v, pes,
-                                       withHostThreads(kSequential));
-            for (int threads : kThreadSweep) {
-                const auto par = em3d::run(smallEm3d(), v, pes,
-                                           withHostThreads(threads));
-                EXPECT_EQ(par.elapsed, seq.elapsed)
-                    << em3d::versionName(v) << " at " << pes
-                    << " PEs, " << threads << " host threads";
-                EXPECT_EQ(par.checksum, seq.checksum)
-                    << em3d::versionName(v) << " at " << pes
-                    << " PEs, " << threads << " host threads";
-            }
-        }
-    }
-}
-
-TEST(SchedDeterminism, ParallelStorePushMatchesSequential)
-{
-    for (std::uint32_t pes : {4u, 8u, 16u, 32u}) {
-        const auto seq =
-            runStorePush(pes, 3, withHostThreads(kSequential));
-        for (int threads : kThreadSweep) {
-            const auto par =
-                runStorePush(pes, 3, withHostThreads(threads));
-            EXPECT_EQ(par, seq) << "at " << pes << " PEs, " << threads
-                                << " host threads";
-        }
-    }
-}
-
-TEST(SchedDeterminism, ParallelStressShapesMatchSequential)
-{
-    const auto seq_store =
-        runAllParkedInStoreSync(32, withHostThreads(kSequential));
-    const auto seq_msg =
-        runAllParkedInMessageWait(16, withHostThreads(kSequential));
-    const auto seq_barrier =
-        runSkewedBarrier(32, withHostThreads(kSequential));
-    for (int threads : kThreadSweep) {
-        EXPECT_EQ(runAllParkedInStoreSync(32, withHostThreads(threads)),
-                  seq_store)
-            << threads << " host threads";
-        EXPECT_EQ(runAllParkedInMessageWait(16, withHostThreads(threads)),
-                  seq_msg)
-            << threads << " host threads";
-        EXPECT_EQ(runSkewedBarrier(32, withHostThreads(threads)),
-                  seq_barrier)
-            << threads << " host threads";
-    }
-}
-
-TEST(SchedDeterminism, ParallelRunsMatchSeedGoldens)
-{
-    // The golden hashes recorded from the seed scheduler must hold
-    // under the parallel scheduler too — same model, same cycles.
-    for (int threads : kThreadSweep) {
-        EXPECT_EQ(finishHash(runStorePush(32, 3, withHostThreads(threads))),
-                  12136788156465987205ull)
-            << threads << " host threads";
-    }
-    const auto r = em3d::run(smallEm3d(), em3d::Version::Get, 4,
-                             withHostThreads(4));
-    EXPECT_EQ(r.elapsed, 40815u);
-}
-
-// Non-power-of-two PE counts leave the barrier radix tree with
-// partial leaf groups and partial upper levels, and leave the
-// parallel scheduler with uneven shards. Hierarchical aggregation
-// must still reproduce the sequential times bit-identically.
-TEST(SchedDeterminism, ParallelNonPowerOfTwoPeCounts)
-{
-    for (std::uint32_t pes : {48u, 100u}) {
-        const auto seq_push =
-            runStorePush(pes, 2, withHostThreads(kSequential));
-        const auto seq_barrier =
-            runSkewedBarrier(pes, withHostThreads(kSequential));
-        ASSERT_EQ(seq_push.size(), pes);
-        for (int threads : kThreadSweep) {
-            EXPECT_EQ(runStorePush(pes, 2, withHostThreads(threads)),
-                      seq_push)
-                << pes << " PEs, " << threads << " host threads";
-            EXPECT_EQ(runSkewedBarrier(pes, withHostThreads(threads)),
-                      seq_barrier)
-                << pes << " PEs, " << threads << " host threads";
-        }
+    struct Golden
+    {
+        std::uint32_t pes;
+        std::uint64_t hash;
+    };
+    const Golden goldens[] = {
+        {32, 6806815936650454565ull},
+        {48, 8393293314537947557ull},
+        {100, 18083423827347423621ull},
+    };
+    for (const auto &g : goldens) {
+        const auto first = runSkewedBarrier(g.pes);
+        const auto second = runSkewedBarrier(g.pes);
+        ASSERT_EQ(first.size(), g.pes);
+        EXPECT_EQ(first, second) << "at " << g.pes << " PEs";
+        EXPECT_EQ(hash::fnv1aWords(first), g.hash)
+            << "at " << g.pes << " PEs";
     }
 }
 

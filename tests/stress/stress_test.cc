@@ -3,10 +3,11 @@
  * Unit and smoke tests for the seeded differential stress harness
  * (src/stress/, docs/STRESS.md). The heavyweight 50-seed corpus runs
  * in CI via the t3d-fuzz binary; these tests pin the generator's
- * determinism and run a small differential matrix end to end.
+ * determinism and run the differential legs end to end.
  */
 
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -124,59 +125,56 @@ TEST(StressPlan, FloodKeepsSingleSenderPerReceiver)
 TEST(StressDifferential, RunIsDeterministic)
 {
     const Plan plan = Plan::build(smallCfg(11));
-    const auto a = stress::runOnce(plan, /*host_threads=*/-1, true);
-    const auto b = stress::runOnce(plan, /*host_threads=*/-1, true);
+    const auto a = stress::runOnce(plan, true);
+    const auto b = stress::runOnce(plan, true);
     EXPECT_EQ(a.finish, b.finish);
     EXPECT_EQ(a.checksum, b.checksum);
     EXPECT_EQ(a.counters, b.counters);
-}
 
-TEST(StressDifferential, ChecksumDependsOnSeed)
-{
-    const auto a =
-        stress::runOnce(Plan::build(smallCfg(1)), -1, false);
-    const auto b =
-        stress::runOnce(Plan::build(smallCfg(2)), -1, false);
-    EXPECT_NE(a.checksum, b.checksum);
-}
-
-TEST(StressDifferential, SmokeSeedsPassAtTwoAndFourThreads)
-{
-    for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-        const auto rep =
-            stress::runDifferential(smallCfg(seed), {2, 4});
-        EXPECT_TRUE(rep.pass) << "seed " << seed;
-        for (const auto &msg : rep.mismatches)
-            ADD_FAILURE() << "seed " << seed << ": " << msg;
-    }
-}
-
-TEST(StressDifferential, FloodSeedsDriveTheOverflowRingAtManyThreads)
-{
-    // The saturating regime the plain corpus's AM cap never reaches:
-    // a shrunken primary queue plus a per-round flood burst forces
-    // deposits through the overflow-ring reroute, and the reroute
-    // decision (placement, timing, amOverflows counters) must be
-    // bit-identical between the sequential scheduler and 2/4/8 host
-    // threads.
-    for (std::uint64_t seed : {5ull, 6ull}) {
-        StressConfig cfg = smallCfg(seed);
+    // Flood seeds: a shrunken primary queue plus a per-round flood
+    // burst force deposits through the overflow-ring reroute, the
+    // regime the plain corpus's AM cap never reaches. The reroute
+    // decision (placement, timing, amOverflows counters) must repeat
+    // exactly and survive counters off; finish times and checksums
+    // are pinned to goldens.
+    struct FloodGolden
+    {
+        std::uint64_t seed;
+        Cycles finish; ///< every PE finishes at the final barrier
+        std::uint64_t checksum;
+    };
+    const FloodGolden goldens[] = {
+        {5, 143328, 12617970832545735861ull},
+        {6, 153071, 17819649894977140881ull},
+    };
+    for (const FloodGolden &g : goldens) {
+        StressConfig cfg = smallCfg(g.seed);
         cfg.amFloodDeposits = 24;
         cfg.amQueueSlots = 8;
         cfg.amOverflowSlots = 64;
 
-        const auto ref = stress::runOnce(Plan::build(cfg), -1, true);
+        const auto rep = stress::runDifferential(cfg);
+        EXPECT_TRUE(rep.pass) << "seed " << g.seed;
+        for (const auto &msg : rep.mismatches)
+            ADD_FAILURE() << "seed " << g.seed << ": " << msg;
+        EXPECT_EQ(rep.reference.finish,
+                  std::vector<Cycles>(cfg.pes, g.finish))
+            << "seed " << g.seed;
+        EXPECT_EQ(rep.reference.checksum, g.checksum) << "seed " << g.seed;
+
         std::uint64_t overflows = 0;
-        for (const auto &ctr : ref.counters)
+        for (const auto &ctr : rep.reference.counters)
             overflows += ctr.amOverflows;
         EXPECT_GT(overflows, 0u)
-            << "seed " << seed << ": flood must enter the ring";
-
-        const auto rep = stress::runDifferential(cfg, {2, 4, 8});
-        EXPECT_TRUE(rep.pass) << "seed " << seed;
-        for (const auto &msg : rep.mismatches)
-            ADD_FAILURE() << "seed " << seed << ": " << msg;
+            << "seed " << g.seed << ": flood must enter the ring";
     }
+}
+
+TEST(StressDifferential, ChecksumDependsOnSeed)
+{
+    const auto a = stress::runOnce(Plan::build(smallCfg(1)), false);
+    const auto b = stress::runOnce(Plan::build(smallCfg(2)), false);
+    EXPECT_NE(a.checksum, b.checksum);
 }
 
 TEST(StressSaturate, FloodCompletesWithModeledSpills)

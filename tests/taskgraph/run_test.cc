@@ -3,9 +3,7 @@
  * End-to-end task-graph execution goldens: one DAG exercising every
  * lowered mechanism (local, store, put, get, blt, am, message) must
  * produce bit-identical makespan, finish hash and value checksum on
- * the sequential scheduler and at 1/2/4/8 host threads — including
- * with tracing enabled, now that tracing no longer clamps the
- * parallel scheduler to one worker.
+ * every run, with tracing enabled or not.
  */
 
 #include <gtest/gtest.h>
@@ -81,72 +79,42 @@ TEST(TaskGraphRun, CoversEveryMechanism)
     EXPECT_TRUE(seen[static_cast<int>(Mechanism::Message)]);
 }
 
-TEST(TaskGraphRun, BitIdenticalAcrossSchedulers)
+TEST(TaskGraphRun, BitIdenticalAcrossRuns)
 {
     TaskGraph g;
     Plan plan = buildPlan(g);
 
-    RunOptions seq;
-    seq.hostThreads = -1;
-    const RunResult golden = simulate(g, plan, seq);
+    const RunResult golden = simulate(g, plan);
     EXPECT_GT(golden.makespanCycles, 0u);
     EXPECT_NE(golden.checksum, 0u);
     EXPECT_EQ(golden.levels, 3u);
 
-    // Re-running sequentially reproduces exactly.
-    const RunResult again = simulate(g, plan, seq);
+    const RunResult again = simulate(g, plan);
     EXPECT_EQ(again.makespanCycles, golden.makespanCycles);
     EXPECT_EQ(again.finishHash, golden.finishHash);
     EXPECT_EQ(again.checksum, golden.checksum);
-
-    for (int threads : {1, 2, 4, 8}) {
-        RunOptions par;
-        par.hostThreads = threads;
-        const RunResult r = simulate(g, plan, par);
-        EXPECT_EQ(r.makespanCycles, golden.makespanCycles)
-            << "threads=" << threads;
-        EXPECT_EQ(r.finishHash, golden.finishHash)
-            << "threads=" << threads;
-        EXPECT_EQ(r.checksum, golden.checksum) << "threads=" << threads;
-    }
 }
 
-TEST(TaskGraphRun, TracingDoesNotPerturbResultsAtAnyThreadCount)
+TEST(TaskGraphRun, TracingDoesNotPerturbResults)
 {
     TaskGraph g;
     Plan plan = buildPlan(g);
 
-    RunOptions plain;
-    plain.hostThreads = -1;
-    const RunResult golden = simulate(g, plan, plain);
+    const RunResult golden = simulate(g, plan);
 
-    RunOptions traced_seq;
-    traced_seq.hostThreads = -1;
-    traced_seq.trace = true;
-    const RunResult ts = simulate(g, plan, traced_seq);
+    RunOptions traced;
+    traced.trace = true;
+    const RunResult ts = simulate(g, plan, traced);
     EXPECT_EQ(ts.makespanCycles, golden.makespanCycles);
+    EXPECT_EQ(ts.finishHash, golden.finishHash);
     EXPECT_EQ(ts.checksum, golden.checksum);
     EXPECT_GT(ts.traceEvents, 0u);
 
-    // Multi-worker traced runs: same results and the same event
-    // count as the sequential traced run (the lifted one-worker
-    // clamp, satellite of this PR).
-    for (int threads : {2, 4}) {
-        RunOptions traced_par;
-        traced_par.hostThreads = threads;
-        traced_par.trace = true;
-        const RunResult tp = simulate(g, plan, traced_par);
-        EXPECT_EQ(tp.makespanCycles, golden.makespanCycles)
-            << "threads=" << threads;
-        EXPECT_EQ(tp.finishHash, golden.finishHash)
-            << "threads=" << threads;
-        EXPECT_EQ(tp.checksum, golden.checksum) << "threads=" << threads;
-        EXPECT_EQ(tp.traceEvents, ts.traceEvents)
-            << "threads=" << threads;
-    }
+    // Tracing is deterministic too: same event count every run.
+    EXPECT_EQ(simulate(g, plan, traced).traceEvents, ts.traceEvents);
 }
 
-TEST(TaskGraphRun, UnpinnedGraphIsSchedulerInvariantToo)
+TEST(TaskGraphRun, UnpinnedGraphIsBitIdenticalAcrossRuns)
 {
     const char *text = R"({
         "tasks": [
@@ -171,15 +139,9 @@ TEST(TaskGraphRun, UnpinnedGraphIsSchedulerInvariantToo)
     Plan plan;
     ASSERT_TRUE(Plan::build(g, opt, plan, err)) << err;
 
-    RunOptions seq;
-    seq.hostThreads = -1;
-    const RunResult golden = simulate(g, plan, seq);
-    for (int threads : {2, 8}) {
-        RunOptions par;
-        par.hostThreads = threads;
-        const RunResult r = simulate(g, plan, par);
-        EXPECT_EQ(r.makespanCycles, golden.makespanCycles);
-        EXPECT_EQ(r.finishHash, golden.finishHash);
-        EXPECT_EQ(r.checksum, golden.checksum);
-    }
+    const RunResult golden = simulate(g, plan);
+    const RunResult r = simulate(g, plan);
+    EXPECT_EQ(r.makespanCycles, golden.makespanCycles);
+    EXPECT_EQ(r.finishHash, golden.finishHash);
+    EXPECT_EQ(r.checksum, golden.checksum);
 }

@@ -39,13 +39,17 @@ struct Collector
     }
 };
 
+/** A two-task job; @p host_threads, when non-empty, is sent verbatim
+ *  as the (ignored) "host_threads" value. */
 std::string
 jobLine(const std::string &id, const std::string &mode, int cycles,
-        int host_threads = -1)
+        const std::string &host_threads = "")
 {
+    const std::string threads_field =
+        host_threads.empty() ? ""
+                             : ", \"host_threads\": " + host_threads;
     return "{\"id\": \"" + id + "\", \"mode\": \"" + mode +
-           "\", \"pes\": 4, \"host_threads\": " +
-           std::to_string(host_threads) +
+           "\", \"pes\": 4" + threads_field +
            ", \"graph\": {\"tasks\": ["
            "{\"id\": \"a\", \"cycles\": " +
            std::to_string(cycles) +
@@ -160,17 +164,35 @@ TEST(JobService, CacheIsHostThreadInvariant)
     Collector out;
     JobService service(opt, out.fn());
 
-    // Same graph at different host thread counts: one simulation,
-    // identical payloads — simulated results never depend on the
-    // host scheduler.
-    service.submit(jobLine("seq", "simulate", 42, -1), 1);
+    // Same graph with different host_threads values: one
+    // simulation, identical payloads — the key is not part of the
+    // cache key and never reaches the run.
+    service.submit(jobLine("seq", "simulate", 42, "-1"), 1);
     service.drain();
-    service.submit(jobLine("par", "simulate", 42, 4), 2);
+    service.submit(jobLine("par", "simulate", 42, "4"), 2);
     service.drain();
 
     EXPECT_EQ(service.stats().simulations, 1u);
     EXPECT_EQ(payloadOf(out.responses[1]), payloadOf(out.responses[2]));
     EXPECT_TRUE(contains(out.responses[2], "\"cache\":\"hit\""));
+}
+
+TEST(JobService, IgnoresHostThreads)
+{
+    // host_threads is accepted and ignored: out-of-range, negative
+    // and large values all answer byte-identically to a request that
+    // omits the key (no undefined float-to-int conversion, no
+    // per-job worker threads).
+    const model::CostModel model = model::defaultCostModel();
+    const std::string reference =
+        JobService::runStandalone(jobLine("ht", "simulate", 55), model, "");
+    EXPECT_TRUE(contains(reference, "\"ok\":true")) << reference;
+    for (const char *value : {"1e20", "-7", "64"}) {
+        EXPECT_EQ(JobService::runStandalone(
+                      jobLine("ht", "simulate", 55, value), model, ""),
+                  reference)
+            << "host_threads=" << value;
+    }
 }
 
 TEST(JobService, MatchesStandaloneExecution)

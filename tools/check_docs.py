@@ -14,10 +14,11 @@ links, and checks that
     one when --tests=N is passed, or when --ctest-dir points at a
     configured build whose `ctest -N` total is the ground truth);
   - changelog-style files (CHANGES.md, ROADMAP.md) may keep
-    historical per-PR counts, but their *largest* claimed count must
-    match the current suite — that is exactly the drift this check
-    exists to catch (a PR adding tests while a doc still quotes the
-    previous total).
+    historical per-PR counts, but their *newest* (last in file
+    order: entries are appended) claimed count must match the current
+    suite — that is exactly the drift this check exists to catch (a
+    PR adding or deleting tests while a doc still quotes the previous
+    total).
 
 External http(s) links are not fetched — CI must not depend on the
 network — only checked for empty targets. Exits non-zero listing
@@ -37,7 +38,7 @@ TEST_COUNT_RE = re.compile(r"[~]?(\d{3,4})\s+(?:tier-1\s+)?tests")
 
 # Changelog-style files record historical per-PR test counts on
 # purpose; every claim being current applies only elsewhere, but the
-# newest (largest) claim in these files must still be current.
+# newest (last) claim in these files must still be current.
 TEST_COUNT_EXEMPT = {"CHANGES.md", "ROADMAP.md"}
 
 # Transient work-order files quote the counts of whatever PR they
@@ -117,9 +118,9 @@ def check(root: str, expected_tests: int | None) -> int:
             if os.path.basename(path) in TEST_COUNT_EXEMPT:
                 # History may quote old totals, but the newest claim
                 # must match the suite as it stands.
-                if claims and max(claims) != expected_tests:
+                if claims and claims[-1] != expected_tests:
                     errors.append(
-                        f"{rel}: newest test count {max(claims)} "
+                        f"{rel}: newest test count {claims[-1]} "
                         f"out of date (suite has {expected_tests})")
             else:
                 for claimed in claims:
