@@ -13,18 +13,15 @@
  */
 
 #include <cstdint>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "app_bench.hh"
 #include "apps/qcd/qcd.hh"
-#include "machine/machine.hh"
 
 using namespace t3dsim;
-using apps::Variant;
 
 namespace
 {
@@ -43,155 +40,63 @@ benchConfig(bool quick)
     return cfg;
 }
 
-appbench::LadderRow
-toRow(const apps::qcd::Result &r, std::uint32_t pes)
+/**
+ * Prefetch-depth ablation (Get rung, 32 PEs). The face fill issues a
+ * stream of same-producer gets; shrinking ShellConfig::prefetchSlots
+ * throttles the pipeline (Fig. 6's depth story) and
+ * prefetchFullStalls counts the back-pressure.
+ */
+std::string
+depthAblation(const apps::qcd::Config &cfg, bool &ok)
 {
-    appbench::LadderRow row;
-    row.variant = apps::variantName(r.variant);
-    row.pes = pes;
-    row.simCycles = r.elapsed;
-    row.perUnit = r.usPerSiteUpdate;
-    row.checksum = r.checksum;
-    row.valid = r.converged;
-    row.counters = r.counters;
-    row.countersValid = r.countersValid;
-    return row;
+    std::ostringstream os;
+    os << "\"prefetch_depth\": [\n";
+    const std::vector<std::uint32_t> depths = {1, 2, 4, 8, 16, 32};
+    for (std::size_t i = 0; i < depths.size(); ++i) {
+        const std::uint32_t slots = depths[i];
+        machine::MachineConfig mc = appbench::countedMachine(32);
+        mc.shell.prefetchSlots = slots;
+        const apps::qcd::Result r =
+            apps::qcd::run(cfg, apps::Variant::Get, mc);
+        if (!r.converged) {
+            std::cerr << "FAIL: prefetch_slots=" << slots
+                      << " did not match the reference\n";
+            ok = false;
+        }
+        const std::uint64_t issues =
+            r.countersValid ? r.counters.prefetchIssues : 0;
+        const std::uint64_t stalls =
+            r.countersValid ? r.counters.prefetchFullStalls : 0;
+        std::cout << "depth slots=" << slots
+                  << " sim_cycles=" << r.elapsed
+                  << " full_stalls=" << stalls << "\n";
+        os << "    {\"prefetch_slots\": " << slots
+           << ", \"sim_cycles\": " << r.elapsed
+           << ", \"prefetch_issues\": " << issues
+           << ", \"prefetch_full_stalls\": " << stalls << "}"
+           << (i + 1 < depths.size() ? "," : "") << "\n";
+    }
+    os << "  ]";
+    return os.str();
 }
-
-/** One prefetch-depth ablation measurement on the Get rung. */
-struct DepthRow
-{
-    std::uint32_t prefetchSlots = 0;
-    std::uint64_t simCycles = 0;
-    std::uint64_t prefetchIssues = 0;
-    std::uint64_t prefetchFullStalls = 0;
-};
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    std::string out_path = "BENCH_app_qcd.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else if (std::strncmp(argv[i], "--out=", 6) == 0)
-            out_path = argv[i] + 6;
-    }
-
-    const apps::qcd::Config cfg = benchConfig(quick);
-    const std::vector<std::uint32_t> pe_counts =
-        quick ? std::vector<std::uint32_t>{32}
-              : std::vector<std::uint32_t>{32, 256};
-
-    bool ok = true;
-
-    // ---- Variant ladder with counters ----
-    std::vector<appbench::LadderRow> ladder;
-    for (std::uint32_t pes : pe_counts) {
-        for (Variant v : apps::allVariants) {
-            machine::MachineConfig mc = machine::MachineConfig::t3d(pes);
-            mc.observe.counters = true;
-            const apps::qcd::Result r = apps::qcd::run(cfg, v, mc);
-            if (!r.converged) {
-                std::cerr << "FAIL: " << apps::variantName(v) << " @ "
-                          << pes
-                          << " PEs did not match the reference\n";
-                ok = false;
-            }
-            std::cout << "ladder " << apps::variantName(v) << " pes="
-                      << pes << " sim_cycles=" << r.elapsed
-                      << " us/site-update=" << r.usPerSiteUpdate
-                      << "\n";
-            ladder.push_back(toRow(r, pes));
-        }
-    }
-
-    // ---- Prefetch-depth ablation (Get rung, smallest PE count) ----
-    // The face fill issues a stream of same-producer gets; shrinking
-    // ShellConfig::prefetchSlots throttles the pipeline (Fig. 6's
-    // depth story) and prefetchFullStalls counts the back-pressure.
-    std::vector<DepthRow> depth;
-    for (std::uint32_t slots : {1u, 2u, 4u, 8u, 16u, 32u}) {
-        machine::MachineConfig mc = machine::MachineConfig::t3d(32);
-        mc.observe.counters = true;
-        mc.shell.prefetchSlots = slots;
-        const apps::qcd::Result r =
-            apps::qcd::run(cfg, Variant::Get, mc);
-        if (!r.converged) {
-            std::cerr << "FAIL: prefetch_slots=" << slots
-                      << " did not match the reference\n";
-            ok = false;
-        }
-        DepthRow row;
-        row.prefetchSlots = slots;
-        row.simCycles = r.elapsed;
-        if (r.countersValid) {
-            row.prefetchIssues = r.counters.prefetchIssues;
-            row.prefetchFullStalls = r.counters.prefetchFullStalls;
-        }
-        std::cout << "depth slots=" << slots
-                  << " sim_cycles=" << r.elapsed
-                  << " full_stalls=" << row.prefetchFullStalls << "\n";
-        depth.push_back(row);
-    }
-
-    // ---- Counters-on/off differential ----
-    bool differential_ok = true;
-    for (Variant v : apps::allVariants) {
-        const std::string label =
-            std::string("qcd/") + apps::variantName(v);
-        differential_ok &= appbench::runDifferential(
-            label.c_str(),
-            [&](bool counters) {
-                machine::MachineConfig mc =
-                    machine::MachineConfig::t3d(32);
-                mc.observe.counters = counters;
-                return toRow(apps::qcd::run(cfg, v, mc), 32);
-            });
-    }
-    ok &= differential_ok;
-    std::cout << "differential "
-              << (differential_ok ? "ok" : "DIVERGED") << "\n";
-
-    // ---- JSON ----
-    std::ofstream os(out_path);
-    if (!os) {
-        std::cerr << "error: could not write " << out_path << "\n";
-        return 1;
-    }
-    os.precision(17);
-    os << "{\n"
-       << "  \"bench\": \"app_qcd\",\n"
-       << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-       << "  \"config\": {\"lx\": " << cfg.lx << ", \"ly\": " << cfg.ly
-       << ", \"lz\": " << cfg.lz << ", \"lt\": " << cfg.lt
-       << ", \"sweeps\": " << cfg.sweeps << ", \"omega\": ";
-    os.precision(6);
-    os << cfg.omega;
-    os.precision(17);
-    os << ", \"seed\": " << cfg.seed << "},\n";
-    appbench::writeLadderJson(os, ladder, "us_per_site_update");
-    os << ",\n  \"prefetch_depth\": [\n";
-    for (std::size_t i = 0; i < depth.size(); ++i) {
-        const DepthRow &d = depth[i];
-        os << "    {\"prefetch_slots\": " << d.prefetchSlots
-           << ", \"sim_cycles\": " << d.simCycles
-           << ", \"prefetch_issues\": " << d.prefetchIssues
-           << ", \"prefetch_full_stalls\": " << d.prefetchFullStalls
-           << "}" << (i + 1 < depth.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n"
-       << "  \"differential\": {\"pes\": 32, \"counters_modes\": 2, "
-          "\"ok\": "
-       << (differential_ok ? "true" : "false") << "}\n"
-       << "}\n";
-    if (!os) {
-        std::cerr << "error: could not write " << out_path << "\n";
-        return 1;
-    }
-    std::cout << "wrote " << out_path << "\n";
-    return ok ? 0 : 1;
+    const appbench::Options opt =
+        appbench::parseOptions(argc, argv, "BENCH_app_qcd.json");
+    const apps::qcd::Config cfg = benchConfig(opt.quick);
+    // omega is a config literal: print it at input precision (the
+    // stream default, 6 digits), not as the nearest double.
+    std::ostringstream config;
+    config << "{\"lx\": " << cfg.lx << ", \"ly\": " << cfg.ly
+           << ", \"lz\": " << cfg.lz << ", \"lt\": " << cfg.lt
+           << ", \"sweeps\": " << cfg.sweeps
+           << ", \"omega\": " << cfg.omega << ", \"seed\": " << cfg.seed
+           << "}";
+    return appbench::runBench(
+        apps::qcd::app(cfg), opt, config.str(),
+        [&](bool &ok) { return depthAblation(cfg, ok); });
 }

@@ -40,8 +40,9 @@
 #include <string>
 #include <vector>
 
+#include "apps/app.hh"
+#include "em3d/em3d.hh"
 #include "machine/machine.hh"
-#include "model/apps_sig.hh"
 #include "model/compose.hh"
 #include "model/measure.hh"
 #include "model/primitives.hh"
@@ -169,6 +170,22 @@ cmdFit(const std::string &sweeps_path, const std::string &out_path)
     return os ? 0 : 1;
 }
 
+/** The apps at default configs; --quick shrinks EM3D's graph. */
+std::vector<apps::App>
+validationSuite(bool quick)
+{
+    std::vector<apps::App> suite = apps::suite();
+    if (quick) {
+        em3d::Config em3d_cfg;
+        em3d_cfg.nodesPerPe = 100;
+        for (apps::App &app : suite) {
+            if (app.name == "em3d")
+                app = em3d::app(em3d_cfg);
+        }
+    }
+    return suite;
+}
+
 /** Mean nanoseconds per predict() call over the validation rows. */
 double
 timePredictions(const model::CostModel &cost,
@@ -211,16 +228,11 @@ cmdValidate(bool quick, std::string pes_list,
     // Simulate every ladder once, keeping the points for timing.
     std::vector<model::LadderPoint> all_points;
     std::vector<model::ErrorRow> rows;
-    em3d::Config em3d_cfg;
-    apps::bsort::Config bsort_cfg;
-    apps::qcd::Config qcd_cfg;
-    if (quick)
-        em3d_cfg.nodesPerPe = 100;
+    const std::vector<apps::App> suite = validationSuite(quick);
     for (std::uint32_t pes : pe_counts) {
-        for (auto &&ladder :
-             {model::runEm3dLadder(pes, em3d_cfg),
-              model::runBsortLadder(pes, bsort_cfg),
-              model::runQcdLadder(pes, qcd_cfg)}) {
+        for (const apps::App &app : suite) {
+            const std::vector<model::LadderPoint> ladder =
+                model::runLadder(app, pes);
             auto batch = model::validateLadder(cost, ladder);
             rows.insert(rows.end(), batch.begin(), batch.end());
             all_points.insert(all_points.end(), ladder.begin(),
@@ -285,6 +297,20 @@ cmdExtrapolate(double target_pes, const std::string &workload,
         train_list = "8,16,32,64";
     const std::vector<std::uint32_t> train = parsePeList(train_list);
 
+    // Resolve the workload before any fitting or simulating.
+    std::vector<apps::App> selected;
+    std::string names;
+    for (apps::App &app : apps::suite()) {
+        names += (names.empty() ? "" : ", ") + app.name;
+        if (workload.empty() || workload == app.name)
+            selected.push_back(std::move(app));
+    }
+    if (selected.empty()) {
+        std::cerr << "error: unknown workload '" << workload
+                  << "' (valid: " << names << ")\n";
+        return 1;
+    }
+
     model::CostModel cost;
     if (!obtainModel(model_path, cost))
         return 1;
@@ -307,16 +333,8 @@ cmdExtrapolate(double target_pes, const std::string &workload,
     std::vector<std::string> labels;
     for (std::uint32_t pes : train) {
         std::vector<model::LadderPoint> points;
-        if (workload.empty() || workload == "em3d") {
-            auto l = model::runEm3dLadder(pes);
-            points.insert(points.end(), l.begin(), l.end());
-        }
-        if (workload.empty() || workload == "bsort") {
-            auto l = model::runBsortLadder(pes);
-            points.insert(points.end(), l.begin(), l.end());
-        }
-        if (workload.empty() || workload == "qcd") {
-            auto l = model::runQcdLadder(pes);
+        for (const apps::App &app : selected) {
+            auto l = model::runLadder(app, pes);
             points.insert(points.end(), l.begin(), l.end());
         }
         if (rungs.empty()) {
@@ -327,10 +345,6 @@ cmdExtrapolate(double target_pes, const std::string &workload,
         for (std::size_t i = 0;
              i < points.size() && i < rungs.size(); ++i)
             rungs[i].sigs.push_back(points[i].sig);
-    }
-    if (rungs.empty()) {
-        std::cerr << "error: unknown workload '" << workload << "'\n";
-        return 1;
     }
 
     // The extrapolation itself: fit scaling, evaluate, compose —

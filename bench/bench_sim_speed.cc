@@ -40,14 +40,15 @@
 #include <benchmark/benchmark.h>
 
 #include "alpha/address.hh"
+#include "apps/app.hh"
 #include "apps/bsort/bsort.hh"
 #include "apps/qcd/qcd.hh"
 #include "em3d/em3d.hh"
 #include "machine/machine.hh"
-#include "model/apps_sig.hh"
 #include "model/compose.hh"
 #include "model/measure.hh"
 #include "model/primitives.hh"
+#include "model/validate.hh"
 #include "shell/annex.hh"
 
 using namespace t3dsim;
@@ -154,12 +155,14 @@ sweepConfig()
     return cfg;
 }
 
-struct SweepOutcome
+/** One ladder case: every rung of one app at one PE count. */
+struct LadderOutcome
 {
+    std::string app;
     std::uint32_t pes = 0;
     double hostSeconds = 0;
 
-    /** Sum over the six versions of the run's elapsed model time. */
+    /** Sum over the rungs of the run's elapsed model time. */
     std::uint64_t simCycles = 0;
 
     /** simCycles * pes / hostSeconds: every PE advances through the
@@ -167,30 +170,30 @@ struct SweepOutcome
      *  host retires simulated PE-cycles (the gem5 "host rate"). */
     double simPeCyclesPerHostSecond = 0;
 
-    /** Sum of per-version checksums: a determinism anchor and a
-     *  guard against the work being optimized away. */
-    double checksum = 0;
+    /** Sum of per-rung checksums: a determinism anchor and a guard
+     *  against the work being optimized away. */
+    apps::Checksum checksum;
 };
 
-SweepOutcome
-runSweep(std::uint32_t pes)
+LadderOutcome
+runLadderCase(const apps::App &app, std::uint32_t pes)
 {
-    const em3d::Config cfg = sweepConfig();
-
-    SweepOutcome out;
+    LadderOutcome out;
+    out.app = app.name;
     out.pes = pes;
 
     // One untimed warmup pass (page cache, allocator), then best of
     // three timed passes: the 32-PE case finishes in milliseconds,
     // where cold-start and scheduler noise would dominate a single
     // cold measurement.
+    const machine::MachineConfig mc = machine::MachineConfig::t3d(pes);
     constexpr int timedPasses = 3;
     for (int pass = -1; pass < timedPasses; ++pass) {
         std::uint64_t sim_cycles = 0;
-        double checksum = 0;
+        apps::Checksum checksum;
         const auto t0 = std::chrono::steady_clock::now();
-        for (em3d::Version v : em3d::allVersions) {
-            const em3d::Result r = em3d::run(cfg, v, pes);
+        for (std::size_t i = 0; i < app.rungs.size(); ++i) {
+            const apps::RungResult r = app.run(i, mc, {});
             sim_cycles += r.elapsed;
             checksum += r.checksum;
         }
@@ -333,99 +336,35 @@ runWeakCase(std::uint32_t pes)
 // Application-suite throughput (docs/APPS.md)
 // ---------------------------------------------------------------------
 
-/** One app-suite case: the full five-rung ladder of one
- *  application. The apps stress shell paths the
- *  EM3D sweep barely touches (all-to-all, dense face exchange), so
- *  their host throughput is tracked separately. */
-struct AppOutcome
+/** The application ladders at sizes that keep the 256-PE case
+ *  short. The apps stress shell paths the EM3D sweep barely touches
+ *  (all-to-all, dense face exchange), so their host throughput is
+ *  tracked separately. */
+std::vector<apps::App>
+appSweepSuite()
 {
-    const char *app = "";
-    std::uint32_t pes = 0;
-    double hostSeconds = 0;
-    std::uint64_t simCycles = 0;
-    double simPeCyclesPerHostSecond = 0;
-
-    /** Sum of per-variant checksums (identical across variants, so
-     *  this is 5x the app checksum — still a determinism anchor). */
-    std::uint64_t checksum = 0;
-};
-
-/** Measure one ladder with warmup + best-of-three, like runSweep. */
-template <typename LadderFn>
-AppOutcome
-runAppCase(const char *app, std::uint32_t pes, LadderFn &&ladder)
-{
-    AppOutcome out;
-    out.app = app;
-    out.pes = pes;
-    constexpr int timedPasses = 3;
-    for (int pass = -1; pass < timedPasses; ++pass) {
-        std::uint64_t sim_cycles = 0;
-        std::uint64_t checksum = 0;
-        const auto t0 = std::chrono::steady_clock::now();
-        ladder(sim_cycles, checksum);
-        const auto t1 = std::chrono::steady_clock::now();
-        const double host_s =
-            std::chrono::duration<double>(t1 - t0).count();
-        if (pass < 0)
-            continue; // warmup
-        if (out.hostSeconds == 0 || host_s < out.hostSeconds)
-            out.hostSeconds = host_s;
-        out.simCycles = sim_cycles;
-        out.checksum = checksum;
-    }
-    out.simPeCyclesPerHostSecond =
-        double(out.simCycles) * pes / out.hostSeconds;
-    return out;
-}
-
-AppOutcome
-runBsortCase(std::uint32_t pes)
-{
-    apps::bsort::Config cfg;
-    cfg.keysPerPe = 256;
-    return runAppCase(
-        "bsort", pes,
-        [&](std::uint64_t &sim_cycles, std::uint64_t &checksum) {
-            for (apps::Variant v : apps::allVariants) {
-                const auto r = apps::bsort::run(cfg, v, pes);
-                sim_cycles += r.elapsed;
-                checksum += r.checksum;
-            }
-        });
-}
-
-AppOutcome
-runQcdCase(std::uint32_t pes)
-{
-    apps::qcd::Config cfg;
-    cfg.lx = cfg.ly = cfg.lz = cfg.lt = 2;
-    cfg.sweeps = 1;
-    return runAppCase(
-        "qcd", pes,
-        [&](std::uint64_t &sim_cycles, std::uint64_t &checksum) {
-            for (apps::Variant v : apps::allVariants) {
-                const auto r = apps::qcd::run(cfg, v, pes);
-                sim_cycles += r.elapsed;
-                checksum += r.checksum;
-            }
-        });
+    apps::bsort::Config bsort;
+    bsort.keysPerPe = 256;
+    apps::qcd::Config qcd;
+    qcd.lx = qcd.ly = qcd.lz = qcd.lt = 2;
+    qcd.sweeps = 1;
+    return {apps::bsort::app(bsort), apps::qcd::app(qcd)};
 }
 
 /** The analytical model's evaluation cost next to simulation cost
- *  (docs/MODEL.md §7): same qcd ladder the app sweep simulates,
- *  answered by the composed model instead. */
+ *  (docs/MODEL.md §7): one app ladder simulated, then answered by
+ *  the composed model instead. */
 struct ModelEval
 {
     bool ran = false;
     double nsPerPrediction = 0;
 
-    /** Simulated-seconds / model-seconds for one qcd ladder. */
+    /** Simulated-seconds / model-seconds for one ladder. */
     double simVsModelSpeedup = 0;
 };
 
 ModelEval
-runModelEval()
+runModelEval(const apps::App &app)
 {
     ModelEval eval;
     std::string error;
@@ -436,11 +375,11 @@ runModelEval()
     }
     const model::CostModel cm = model::fitCostModel(sweeps);
 
-    // Same ladder both ways: simulate the default qcd config at 32
-    // PEs, then answer the identical question with the model.
+    // Same ladder both ways: simulate it at 32 PEs, then answer the
+    // identical question with the model.
     const auto sim0 = std::chrono::steady_clock::now();
     const std::vector<model::LadderPoint> ladder =
-        model::runQcdLadder(32);
+        model::runLadder(app, 32);
     const auto sim1 = std::chrono::steady_clock::now();
     const double sim_seconds =
         double(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -472,9 +411,9 @@ runModelEval()
 }
 
 bool
-writeSweepJson(const std::vector<SweepOutcome> &cases,
+writeSweepJson(const std::vector<LadderOutcome> &cases,
                const std::vector<WeakOutcome> &weak,
-               const std::vector<AppOutcome> &app_cases,
+               const std::vector<LadderOutcome> &app_cases,
                const ModelEval &model_eval, const std::string &path)
 {
     const em3d::Config cfg = sweepConfig();
@@ -505,7 +444,7 @@ writeSweepJson(const std::vector<SweepOutcome> &cases,
     os.precision(17);
     os << "  \"cases\": [\n";
     for (std::size_t i = 0; i < cases.size(); ++i) {
-        const SweepOutcome &c = cases[i];
+        const LadderOutcome &c = cases[i];
         os << "    {\"pes\": " << c.pes
            << ", \"host_seconds\": " << c.hostSeconds
            << ", \"sim_cycles\": " << c.simCycles
@@ -534,7 +473,7 @@ writeSweepJson(const std::vector<SweepOutcome> &cases,
     os << "  ],\n"
        << "  \"apps\": [\n";
     for (std::size_t i = 0; i < app_cases.size(); ++i) {
-        const AppOutcome &a = app_cases[i];
+        const LadderOutcome &a = app_cases[i];
         os << "    {\"app\": \"" << a.app << "\", \"pes\": " << a.pes
            << ", \"host_seconds\": " << a.hostSeconds
            << ", \"sim_cycles\": " << a.simCycles
@@ -587,10 +526,11 @@ main(int argc, char **argv)
         benchmark::RunSpecifiedBenchmarks();
     }
 
-    std::vector<SweepOutcome> cases;
+    std::vector<LadderOutcome> cases;
     if (!weak_only) {
+        const apps::App em3d_sweep = em3d::app(sweepConfig());
         for (std::uint32_t pes : {32u, 256u}) {
-            const SweepOutcome c = runSweep(pes);
+            const LadderOutcome c = runLadderCase(em3d_sweep, pes);
             std::cout << "em3d_sweep pes=" << c.pes
                       << " host_s=" << c.hostSeconds
                       << " sim_cycles=" << c.simCycles
@@ -613,14 +553,14 @@ main(int argc, char **argv)
         weak.push_back(w);
     }
 
-    std::vector<AppOutcome> app_cases;
+    std::vector<LadderOutcome> app_cases;
     ModelEval model_eval;
     if (!weak_only) {
-        for (std::uint32_t pes : {32u, 256u}) {
-            app_cases.push_back(runBsortCase(pes));
-            app_cases.push_back(runQcdCase(pes));
-        }
-        for (const AppOutcome &a : app_cases) {
+        const std::vector<apps::App> suite = appSweepSuite();
+        for (std::uint32_t pes : {32u, 256u})
+            for (const apps::App &app : suite)
+                app_cases.push_back(runLadderCase(app, pes));
+        for (const LadderOutcome &a : app_cases) {
             std::cout << "app_sweep app=" << a.app
                       << " pes=" << a.pes
                       << " host_s=" << a.hostSeconds
@@ -629,7 +569,8 @@ main(int argc, char **argv)
                       << a.simPeCyclesPerHostSecond
                       << " checksum=" << a.checksum << "\n";
         }
-        model_eval = runModelEval();
+        // The default-config qcd ladder, as apps::suite() lists it.
+        model_eval = runModelEval(apps::qcd::app({}));
         if (model_eval.ran)
             std::cout << "model_eval ns/prediction="
                       << model_eval.nsPerPrediction

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "apps/app.hh"
 #include "apps/variant.hh"
 #include "machine/machine.hh"
 #include "probes/counters.hh"
@@ -191,6 +192,12 @@ Result run(const Config &config, Variant variant, std::uint32_t pes,
 Result run(const Config &config, Variant variant,
            const machine::MachineConfig &machine_config,
            const splitc::SplitcConfig &splitc_config = {});
+
+/**
+ * bsort as an apps::App over @p config: the five Variant rungs,
+ * perUnit in us per key, valid = sorted.
+ */
+App app(const Config &config);
 
 } // namespace t3dsim::apps::bsort
 

@@ -292,4 +292,39 @@ run(const Config &config, Variant variant,
     return result;
 }
 
+App
+app(const Config &config)
+{
+    // Closed-form compute: classifyStage charges classifyCycles per
+    // owned key; each of the 64/radixBits radix passes charges
+    // count+scatter bookkeeping per received key (mean keysPerPe in
+    // balance) plus one cycle per prefix-sum bucket.
+    const double keys = config.keysPerPe;
+    const double passes = 64.0 / config.radixBits;
+    const double buckets = double(std::uint64_t{1} << config.radixBits);
+    const double compute = keys * double(config.classifyCycles) +
+        passes * (keys * double(config.radixCountCycles +
+                                config.radixScatterCycles) +
+                  buckets);
+    return {"bsort", "key", rungNames(allVariants, variantName),
+            [config, compute](
+                std::size_t rung,
+                const machine::MachineConfig &machine_config,
+                const splitc::SplitcConfig &splitc_config) {
+                T3D_ASSERT(rung < std::size(allVariants),
+                           "bsort has no rung ", rung);
+                const Result r = run(config, allVariants[rung],
+                                     machine_config, splitc_config);
+                return RungResult{
+                    .elapsed = r.elapsed,
+                    .perUnit = r.usPerKey,
+                    .checksum = Checksum(r.checksum),
+                    .valid = r.sorted,
+                    .computeCyclesPerPe = compute,
+                    .counters = r.counters,
+                    .countersValid = r.countersValid,
+                };
+            }};
+}
+
 } // namespace t3dsim::apps::bsort

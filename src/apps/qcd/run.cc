@@ -5,6 +5,7 @@
 
 #include "apps/checksum.hh"
 #include "machine/config.hh"
+#include "sim/logging.hh"
 #include "splitc/executor.hh"
 #include "splitc/global_ptr.hh"
 #include "splitc/proc.hh"
@@ -359,6 +360,46 @@ run(const Config &config, Variant variant,
         result.countersValid = true;
     }
     return result;
+}
+
+App
+app(const Config &config)
+{
+    return {"qcd", "site-update", rungNames(allVariants, variantName),
+            [config](std::size_t rung,
+                     const machine::MachineConfig &machine_config,
+                     const splitc::SplitcConfig &splitc_config) {
+                T3D_ASSERT(rung < std::size(allVariants),
+                           "qcd has no rung ", rung);
+                const Variant v = allVariants[rung];
+                const Result r =
+                    run(config, v, machine_config, splitc_config);
+                // Closed-form compute: siteUpdateCycles per site per
+                // sweep; the Bulk rung's pack + unpack each touch
+                // every halo slot once per sweep (one parity half per
+                // half-step, two half-steps).
+                const double nsites = double(config.lx) * config.ly *
+                    config.lz * config.lt;
+                double compute = config.sweeps * nsites *
+                    double(config.siteUpdateCycles);
+                if (v == Variant::Bulk) {
+                    const double halo = 2.0 *
+                        (double(config.ly) * config.lz * config.lt +
+                         double(config.lx) * config.lz * config.lt +
+                         double(config.lx) * config.ly * config.lt);
+                    compute += config.sweeps * 2.0 * halo *
+                        double(config.packCycles);
+                }
+                return RungResult{
+                    .elapsed = r.elapsed,
+                    .perUnit = r.usPerSiteUpdate,
+                    .checksum = Checksum(r.checksum),
+                    .valid = r.converged,
+                    .computeCyclesPerPe = compute,
+                    .counters = r.counters,
+                    .countersValid = r.countersValid,
+                };
+            }};
 }
 
 } // namespace t3dsim::apps::qcd

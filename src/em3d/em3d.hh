@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/app.hh"
 #include "machine/machine.hh"
 #include "splitc/config.hh"
 #include "splitc/global_ptr.hh"
@@ -238,6 +239,12 @@ Result run(const Config &config, Version version, std::uint32_t pes,
 Result run(const Config &config, Version version,
            const machine::MachineConfig &machine_config,
            const splitc::SplitcConfig &splitc_config = {});
+
+/**
+ * EM3D as an apps::App over @p config: the six versions in Figure 9
+ * order as rungs, perUnit in us per edge.
+ */
+apps::App app(const Config &config);
 
 } // namespace t3dsim::em3d
 

@@ -252,4 +252,36 @@ run(const Config &config, Version version,
     return result;
 }
 
+apps::App
+app(const Config &config)
+{
+    return {"em3d", "edge", apps::rungNames(allVersions, versionName),
+            [config](std::size_t rung,
+                     const machine::MachineConfig &machine_config,
+                     const splitc::SplitcConfig &splitc_config) {
+                T3D_ASSERT(rung < std::size(allVersions),
+                           "EM3D has no rung ", rung);
+                const Version v = allVersions[rung];
+                const Result r =
+                    run(config, v, machine_config, splitc_config);
+                // Closed-form compute (mirrors computeSide):
+                // computeCycles per edge plus the 4-cycle node-loop
+                // overhead per destination node, on both the E and H
+                // sides, per iteration.
+                const double per_iter =
+                    double(r.edgesPerPePerIter) *
+                        double(planFor(v, config).computeCycles) +
+                    2.0 * double(config.nodesPerPe) * 4.0;
+                return apps::RungResult{
+                    .elapsed = r.elapsed,
+                    .perUnit = r.usPerEdge,
+                    .checksum = apps::Checksum(r.checksum),
+                    .valid = true,
+                    .computeCyclesPerPe = per_iter * config.iterations,
+                    .counters = r.counters,
+                    .countersValid = r.countersValid,
+                };
+            }};
+}
+
 } // namespace t3dsim::em3d

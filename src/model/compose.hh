@@ -5,8 +5,8 @@
  *
  * A Signature is the per-PE mean of the 29 counters plus one
  * analytic compute term (the p.compute() charges the taxonomy
- * deliberately does not count; closed forms per app live in
- * apps_sig.cc). Prediction is a dot product — no re-simulation:
+ * deliberately does not count; each app's closed form comes with its
+ * apps::App rung results). Prediction is a dot product — no re-simulation:
  *
  *   cycles/PE = compute + Σ priced counters · beta + Σ direct
  *
@@ -48,7 +48,7 @@ struct Signature
     /** Per-PE mean counter values ((name, value), nonzero only). */
     std::vector<std::pair<std::string, double>> perPe;
 
-    /** Analytic compute charges per PE (apps_sig closed forms). */
+    /** Analytic compute charges per PE (the apps' closed forms). */
     double computeCyclesPerPe = 0;
 
     double counter(const std::string &name) const;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "machine/config.hh"
 #include "model/compose.hh"
 
 namespace t3dsim::model
@@ -31,6 +32,25 @@ fmt(const char *format, double v)
 }
 
 } // namespace
+
+std::vector<LadderPoint>
+runLadder(const apps::App &app, std::uint32_t pes)
+{
+    machine::MachineConfig mc = machine::MachineConfig::t3d(pes);
+    mc.observe.counters = true;
+    std::vector<LadderPoint> ladder;
+    for (std::size_t i = 0; i < app.rungs.size(); ++i) {
+        const apps::RungResult r = app.run(i, mc, {});
+        LadderPoint pt;
+        pt.sig = signatureFromTotals(r.counters, pes);
+        pt.sig.workload = app.name;
+        pt.sig.rung = app.rungs[i];
+        pt.sig.computeCyclesPerPe = r.computeCyclesPerPe;
+        pt.simulatedCycles = double(r.elapsed);
+        ladder.push_back(std::move(pt));
+    }
+    return ladder;
+}
 
 std::vector<ErrorRow>
 validateLadder(const CostModel &model,
@@ -113,25 +133,6 @@ reportMarkdown(const ValidationReport &report)
         out += "  - " + name + ": median |error| " +
             fmt("%.1f%%", median) + "\n";
     return out;
-}
-
-ValidationReport
-validateAll(const CostModel &model,
-            const std::vector<std::uint32_t> &pe_counts,
-            double band_pct)
-{
-    std::vector<ErrorRow> rows;
-    for (std::uint32_t pes : pe_counts) {
-        for (auto &&ladder :
-             {runEm3dLadder(pes), runBsortLadder(pes),
-              runQcdLadder(pes)}) {
-            auto batch = validateLadder(model, ladder);
-            rows.insert(rows.end(),
-                        std::make_move_iterator(batch.begin()),
-                        std::make_move_iterator(batch.end()));
-        }
-    }
-    return summarize(std::move(rows), band_pct);
 }
 
 } // namespace t3dsim::model

@@ -1,11 +1,13 @@
 /**
  * @file
  * The validator: predicted-vs-simulated error bands across the app
- * ladders (docs/MODEL.md §6). Each row diffs one (workload, rung,
- * pes) point: the composed prediction against the simulated elapsed
- * cycles, with the composer's reliability flags carried through so
- * rows where linear composition is known to break are marked rather
- * than silently averaged in.
+ * ladders (docs/MODEL.md §5-§6). runLadder measures one apps::App's
+ * ladder as (counter signature, simulated cycles) pairs; each row of
+ * validateLadder diffs one (workload, rung, pes) point: the composed
+ * prediction against the simulated elapsed cycles, with the
+ * composer's reliability flags carried through so rows where linear
+ * composition is known to break are marked rather than silently
+ * averaged in.
  */
 
 #ifndef T3DSIM_MODEL_VALIDATE_HH
@@ -15,11 +17,30 @@
 #include <string>
 #include <vector>
 
-#include "model/apps_sig.hh"
+#include "apps/app.hh"
+#include "model/compose.hh"
 #include "model/primitives.hh"
 
 namespace t3dsim::model
 {
+
+/** One measured ladder rung: signature plus the simulated truth. */
+struct LadderPoint
+{
+    Signature sig;
+
+    /** Simulated elapsed cycles of the run (the validation truth). */
+    double simulatedCycles = 0;
+};
+
+/**
+ * Run every rung of @p app at @p pes on a fresh counted machine
+ * (MachineConfig::t3d with observe.counters) and return one
+ * LadderPoint per rung, in ladder order. The signature's compute
+ * term is the app's closed form (RungResult::computeCyclesPerPe).
+ */
+std::vector<LadderPoint> runLadder(const apps::App &app,
+                                   std::uint32_t pes);
 
 /** One predicted-vs-simulated comparison. */
 struct ErrorRow
@@ -66,15 +87,6 @@ ValidationReport summarize(std::vector<ErrorRow> rows,
 
 /** Render the report as a markdown table (for EXPERIMENTS.md). */
 std::string reportMarkdown(const ValidationReport &report);
-
-/**
- * Run the full validation matrix: em3d + bsort + qcd ladders at each
- * torus size in @p pe_counts, diffed against @p model.
- */
-ValidationReport
-validateAll(const CostModel &model,
-            const std::vector<std::uint32_t> &pe_counts,
-            double band_pct = 10.0);
 
 } // namespace t3dsim::model
 

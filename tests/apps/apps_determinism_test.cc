@@ -1,21 +1,39 @@
 /**
  * @file
- * Determinism pins for the application suite: for both apps, both
- * counter modes must finish at the same simulated cycle with the
- * same output checksum, bit for bit.
+ * Determinism pins for the application suite: for every app and
+ * every rung, both counter modes must finish at the same simulated
+ * cycle with the same output checksum, bit for bit.
  */
 
 #include <gtest/gtest.h>
 
+#include "apps/app.hh"
 #include "apps/bsort/bsort.hh"
 #include "apps/qcd/qcd.hh"
+#include "em3d/em3d.hh"
 #include "machine/machine.hh"
+#include "probes/counters.hh"
 
 namespace
 {
 
 using namespace t3dsim;
-using apps::Variant;
+
+/** The suite at sizes that run every rung in milliseconds. */
+std::vector<apps::App>
+tinySuite()
+{
+    em3d::Config ecfg;
+    ecfg.nodesPerPe = 20;
+    ecfg.degree = 4;
+    apps::bsort::Config bcfg;
+    bcfg.keysPerPe = 64;
+    apps::qcd::Config qcfg;
+    qcfg.lx = qcfg.ly = qcfg.lz = qcfg.lt = 2;
+    qcfg.sweeps = 1;
+    return {em3d::app(ecfg), apps::bsort::app(bcfg),
+            apps::qcd::app(qcfg)};
+}
 
 TEST(AppsDeterminism, CountersDoNotPerturbTiming)
 {
@@ -24,23 +42,17 @@ TEST(AppsDeterminism, CountersDoNotPerturbTiming)
     machine::MachineConfig off = machine::MachineConfig::t3d(8);
     off.observe.counters = false;
 
-    apps::bsort::Config bcfg;
-    bcfg.keysPerPe = 64;
-    for (Variant v : apps::allVariants) {
-        const auto a = apps::bsort::run(bcfg, v, on);
-        const auto b = apps::bsort::run(bcfg, v, off);
-        EXPECT_EQ(a.elapsed, b.elapsed) << apps::variantName(v);
-        EXPECT_EQ(a.checksum, b.checksum) << apps::variantName(v);
-    }
-
-    apps::qcd::Config qcfg;
-    qcfg.lx = qcfg.ly = qcfg.lz = qcfg.lt = 2;
-    qcfg.sweeps = 1;
-    for (Variant v : apps::allVariants) {
-        const auto a = apps::qcd::run(qcfg, v, on);
-        const auto b = apps::qcd::run(qcfg, v, off);
-        EXPECT_EQ(a.elapsed, b.elapsed) << apps::variantName(v);
-        EXPECT_EQ(a.checksum, b.checksum) << apps::variantName(v);
+    for (const apps::App &app : tinySuite()) {
+        for (std::size_t i = 0; i < app.rungs.size(); ++i) {
+            const std::string label = app.name + "/" + app.rungs[i];
+            const apps::RungResult a = app.run(i, on, {});
+            const apps::RungResult b = app.run(i, off, {});
+            // A -DT3DSIM_COUNTERS=OFF build compiles counting out.
+            EXPECT_EQ(a.countersValid, bool(T3D_OBS_ENABLED)) << label;
+            EXPECT_FALSE(b.countersValid) << label;
+            EXPECT_EQ(a.elapsed, b.elapsed) << label;
+            EXPECT_EQ(a.checksum, b.checksum) << label;
+        }
     }
 }
 

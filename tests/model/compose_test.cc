@@ -9,7 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include "model/apps_sig.hh"
+#include "apps/bsort/bsort.hh"
+#include "apps/qcd/qcd.hh"
 #include "model/compose.hh"
 #include "model/measure.hh"
 #include "model/primitives.hh"
@@ -92,16 +93,13 @@ TEST(RoundTrip, FittedModelPredictsAppLadders)
     ASSERT_FALSE(sweeps.empty()) << error;
     const CostModel m = fitCostModel(sweeps);
 
+    apps::qcd::Config qcfg; // 4^4 sites, 2 sweeps — fast
+    apps::bsort::Config bcfg;
+    bcfg.keysPerPe = 256;
     std::vector<LadderPoint> points;
-    {
-        apps::qcd::Config qcfg; // 4^4 sites, 2 sweeps — fast
-        auto l = runQcdLadder(8, qcfg);
-        points.insert(points.end(), l.begin(), l.end());
-    }
-    {
-        apps::bsort::Config bcfg;
-        bcfg.keysPerPe = 256;
-        auto l = runBsortLadder(8, bcfg);
+    for (const apps::App &app :
+         {apps::qcd::app(qcfg), apps::bsort::app(bcfg)}) {
+        auto l = runLadder(app, 8);
         points.insert(points.end(), l.begin(), l.end());
     }
     const ValidationReport report =
