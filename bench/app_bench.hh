@@ -12,16 +12,17 @@
 #define T3DSIM_BENCH_APP_BENCH_HH
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/app.hh"
+#include "cli.hh"
 #include "machine/config.hh"
 #include "probes/counters.hh"
+#include "sim/json_writer.hh"
 
 namespace t3dsim::appbench
 {
@@ -35,33 +36,17 @@ struct Options
     std::string outPath;
 };
 
-/** Parse --quick and --out=F; other arguments are ignored. */
+/** Parse --quick and --out=F (or --out F). */
 inline Options
 parseOptions(int argc, char **argv, std::string default_out)
 {
-    Options opt;
-    opt.outPath = std::move(default_out);
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            opt.quick = true;
-        else if (std::strncmp(argv[i], "--out=", 6) == 0)
-            opt.outPath = argv[i] + 6;
-    }
+    cli::Args args(argc, argv,
+                   "usage: " + std::string(argv[0]) +
+                       " [--quick] [--out=F]\n");
+    Options opt{args.flag("--quick"), std::move(default_out)};
+    args.value("--out", opt.outPath);
+    args.done();
     return opt;
-}
-
-/** Emit the full counter taxonomy of @p c as one JSON object. */
-inline void
-writeCounterObject(std::ostream &os, const probes::PerfCounters &c)
-{
-    const auto &infos = probes::PerfCounters::infos();
-    os << "{";
-    for (std::size_t i = 0; i < probes::PerfCounters::numCounters;
-         ++i) {
-        os << "\"" << infos[i].name << "\": " << c.value(i)
-           << (i + 1 < probes::PerfCounters::numCounters ? ", " : "");
-    }
-    os << "}";
 }
 
 /** Counter-enabled (or not) machine of @p pes PEs. */
@@ -105,32 +90,39 @@ runLadder(const apps::App &app, const std::vector<std::uint32_t> &pes,
     return rows;
 }
 
-/** Emit the ladder as a JSON array; perUnit goes under
- *  us_per_<unit>. */
+/** Write the ladder as the report's "ladder" member; perUnit goes
+ *  under us_per_<unit>. */
 inline void
-writeLadderJson(std::ostream &os, const apps::App &app,
+writeLadderJson(sim::JsonWriter &w, const apps::App &app,
                 const std::vector<LadderRow> &rows)
 {
     std::string per_unit_key = "us_per_" + app.unit;
     for (char &c : per_unit_key)
         c = c == '-' ? '_' : c;
-    os << "  \"ladder\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const apps::RungResult &r = rows[i].result;
-        os << "    {\"variant\": \"" << app.rungs[rows[i].rung]
-           << "\", \"pes\": " << rows[i].pes
-           << ", \"sim_cycles\": " << r.elapsed << ", \""
-           << per_unit_key << "\": " << r.perUnit
-           << ", \"checksum\": " << r.checksum
-           << ", \"valid\": " << (r.valid ? "true" : "false");
+    w.key("ladder").beginArray(sim::JsonWriter::Layout::Lines);
+    for (const LadderRow &row : rows) {
+        const apps::RungResult &r = row.result;
+        w.beginObject().member("variant", app.rungs[row.rung]);
+        w.member("pes", row.pes).member("sim_cycles", r.elapsed);
+        w.member(per_unit_key, r.perUnit).key("checksum");
+        r.checksum.visit([&w](auto v) { w.value(v); });
+        w.member("valid", r.valid);
         if (r.countersValid) {
-            os << ", \"counters\": ";
-            writeCounterObject(os, r.counters);
+            w.key("counters");
+            probes::writeCounterObject(w, r.counters);
         }
-        os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+        w.endObject();
     }
-    os << "  ]";
+    w.endArray();
 }
+
+/** An app's paper-figure ablation: one row of named integer columns
+ *  per point, written as the report member @c name. */
+struct Ablation
+{
+    std::string name;
+    std::vector<std::vector<std::pair<std::string, std::uint64_t>>> rows;
+};
 
 /**
  * The determinism contract behind every published number: each rung
@@ -172,48 +164,49 @@ runDifferential(const apps::App &app, std::uint32_t pes)
  * quick, 256) PEs, then @p ablation, then the differential at 32
  * PEs, then BENCH_app_<name>.json.
  *
- * @param config_json The app's config as one JSON object.
- * @param ablation    (bool &ok) -> its JSON member
- *                    (`"name": [...]`); prints its own rows and
- *                    clears ok on a failed run.
+ * @param write_config Writes the app's config as one JSON object.
+ * @param ablation     (bool &ok) -> Ablation; prints its own rows
+ *                     and clears ok on a failed run.
  * @return the process exit code: non-zero if any run failed
  *         validation, the differential diverged or the report could
  *         not be written.
  */
-template <typename AblationFn>
+template <typename ConfigFn, typename AblationFn>
 int
 runBench(const apps::App &app, const Options &opt,
-         const std::string &config_json, AblationFn &&ablation)
+         ConfigFn &&write_config, AblationFn &&ablation)
 {
+    using Layout = sim::JsonWriter::Layout;
     bool ok = true;
     const std::vector<LadderRow> ladder = runLadder(
         app,
         opt.quick ? std::vector<std::uint32_t>{32}
                   : std::vector<std::uint32_t>{32, 256},
         ok);
-    const std::string ablation_json = ablation(ok);
+    const Ablation abl = ablation(ok);
 
     const bool differential_ok = runDifferential(app, 32);
     ok &= differential_ok;
     std::cout << "differential "
               << (differential_ok ? "ok" : "DIVERGED") << "\n";
 
+    // A stream that failed to open ignores the writes; checked below.
     std::ofstream os(opt.outPath);
-    if (!os) {
-        std::cerr << "error: could not write " << opt.outPath << "\n";
-        return 1;
+    sim::JsonWriter w(os);
+    w.beginObject(Layout::Lines).member("bench", "app_" + app.name);
+    w.member("quick", opt.quick).key("config");
+    write_config(w);
+    writeLadderJson(w, app, ladder);
+    w.key(abl.name).beginArray(Layout::Lines);
+    for (const auto &row : abl.rows) {
+        w.beginObject();
+        for (const auto &[name, value] : row)
+            w.member(name, value);
+        w.endObject();
     }
-    os.precision(17);
-    os << "{\n"
-       << "  \"bench\": \"app_" << app.name << "\",\n"
-       << "  \"quick\": " << (opt.quick ? "true" : "false") << ",\n"
-       << "  \"config\": " << config_json << ",\n";
-    writeLadderJson(os, app, ladder);
-    os << ",\n  " << ablation_json << ",\n"
-       << "  \"differential\": {\"pes\": 32, \"counters_modes\": 2, "
-          "\"ok\": "
-       << (differential_ok ? "true" : "false") << "}\n"
-       << "}\n";
+    w.endArray().key("differential").beginObject().member("pes", 32);
+    w.member("counters_modes", 2).member("ok", differential_ok);
+    w.endObject().endObject();
     if (!os) {
         std::cerr << "error: could not write " << opt.outPath << "\n";
         return 1;

@@ -14,9 +14,6 @@
 
 #include <cstdint>
 #include <iostream>
-#include <sstream>
-#include <string>
-#include <vector>
 
 #include "app_bench.hh"
 #include "apps/bsort/bsort.hh"
@@ -44,15 +41,11 @@ benchConfig(bool quick)
  * the elapsed curve locates the real crossover, to compare against
  * the Fig. 8 microbenchmark.
  */
-std::string
+appbench::Ablation
 crossoverAblation(const apps::bsort::Config &cfg, bool &ok)
 {
-    std::ostringstream os;
-    os << "\"blt_crossover\": [\n";
-    const std::vector<std::uint32_t> sizes = {256,  1024,  4096,
-                                              7900, 16384, 65536};
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        const std::uint32_t bytes = sizes[i];
+    appbench::Ablation abl{"blt_crossover", {}};
+    for (std::uint32_t bytes : {256, 1024, 4096, 7900, 16384, 65536}) {
         splitc::SplitcConfig sc;
         sc.bulkGetBltCrossoverBytes = bytes;
         const apps::bsort::Result r = apps::bsort::run(
@@ -69,14 +62,12 @@ crossoverAblation(const apps::bsort::Config &cfg, bool &ok)
         std::cout << "crossover bytes=" << bytes
                   << " sim_cycles=" << r.elapsed
                   << " blt_transfers=" << blt << "\n";
-        os << "    {\"crossover_bytes\": " << bytes
-           << ", \"sim_cycles\": " << r.elapsed
-           << ", \"blt_transfers\": " << blt
-           << ", \"prefetch_issues\": " << prefetch << "}"
-           << (i + 1 < sizes.size() ? "," : "") << "\n";
+        abl.rows.push_back({{"crossover_bytes", bytes},
+                            {"sim_cycles", r.elapsed},
+                            {"blt_transfers", blt},
+                            {"prefetch_issues", prefetch}});
     }
-    os << "  ]";
-    return os.str();
+    return abl;
 }
 
 } // namespace
@@ -87,12 +78,12 @@ main(int argc, char **argv)
     const appbench::Options opt =
         appbench::parseOptions(argc, argv, "BENCH_app_bsort.json");
     const apps::bsort::Config cfg = benchConfig(opt.quick);
-    std::ostringstream config;
-    config << "{\"keys_per_pe\": " << cfg.keysPerPe
-           << ", \"oversample\": " << cfg.oversample
-           << ", \"seed\": " << cfg.seed
-           << ", \"radix_bits\": " << cfg.radixBits << "}";
     return appbench::runBench(
-        apps::bsort::app(cfg), opt, config.str(),
+        apps::bsort::app(cfg), opt,
+        [&](sim::JsonWriter &w) {
+            w.beginObject().member("keys_per_pe", cfg.keysPerPe);
+            w.member("oversample", cfg.oversample).member("seed", cfg.seed);
+            w.member("radix_bits", cfg.radixBits).endObject();
+        },
         [&](bool &ok) { return crossoverAblation(cfg, ok); });
 }

@@ -14,9 +14,6 @@
 
 #include <cstdint>
 #include <iostream>
-#include <sstream>
-#include <string>
-#include <vector>
 
 #include "app_bench.hh"
 #include "apps/qcd/qcd.hh"
@@ -46,14 +43,11 @@ benchConfig(bool quick)
  * throttles the pipeline (Fig. 6's depth story) and
  * prefetchFullStalls counts the back-pressure.
  */
-std::string
+appbench::Ablation
 depthAblation(const apps::qcd::Config &cfg, bool &ok)
 {
-    std::ostringstream os;
-    os << "\"prefetch_depth\": [\n";
-    const std::vector<std::uint32_t> depths = {1, 2, 4, 8, 16, 32};
-    for (std::size_t i = 0; i < depths.size(); ++i) {
-        const std::uint32_t slots = depths[i];
+    appbench::Ablation abl{"prefetch_depth", {}};
+    for (std::uint32_t slots : {1, 2, 4, 8, 16, 32}) {
         machine::MachineConfig mc = appbench::countedMachine(32);
         mc.shell.prefetchSlots = slots;
         const apps::qcd::Result r =
@@ -70,14 +64,12 @@ depthAblation(const apps::qcd::Config &cfg, bool &ok)
         std::cout << "depth slots=" << slots
                   << " sim_cycles=" << r.elapsed
                   << " full_stalls=" << stalls << "\n";
-        os << "    {\"prefetch_slots\": " << slots
-           << ", \"sim_cycles\": " << r.elapsed
-           << ", \"prefetch_issues\": " << issues
-           << ", \"prefetch_full_stalls\": " << stalls << "}"
-           << (i + 1 < depths.size() ? "," : "") << "\n";
+        abl.rows.push_back({{"prefetch_slots", slots},
+                            {"sim_cycles", r.elapsed},
+                            {"prefetch_issues", issues},
+                            {"prefetch_full_stalls", stalls}});
     }
-    os << "  ]";
-    return os.str();
+    return abl;
 }
 
 } // namespace
@@ -88,15 +80,13 @@ main(int argc, char **argv)
     const appbench::Options opt =
         appbench::parseOptions(argc, argv, "BENCH_app_qcd.json");
     const apps::qcd::Config cfg = benchConfig(opt.quick);
-    // omega is a config literal: print it at input precision (the
-    // stream default, 6 digits), not as the nearest double.
-    std::ostringstream config;
-    config << "{\"lx\": " << cfg.lx << ", \"ly\": " << cfg.ly
-           << ", \"lz\": " << cfg.lz << ", \"lt\": " << cfg.lt
-           << ", \"sweeps\": " << cfg.sweeps
-           << ", \"omega\": " << cfg.omega << ", \"seed\": " << cfg.seed
-           << "}";
     return appbench::runBench(
-        apps::qcd::app(cfg), opt, config.str(),
+        apps::qcd::app(cfg), opt,
+        [&](sim::JsonWriter &w) {
+            w.beginObject().member("lx", cfg.lx).member("ly", cfg.ly);
+            w.member("lz", cfg.lz).member("lt", cfg.lt);
+            w.member("sweeps", cfg.sweeps).member("omega", cfg.omega);
+            w.member("seed", cfg.seed).endObject();
+        },
         [&](bool &ok) { return depthAblation(cfg, ok); });
 }

@@ -13,7 +13,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -21,21 +20,21 @@
 #include "machine/workstation.hh"
 #include "probes/stride.hh"
 
+#include "cli.hh"
 #include "profile.hh"
 #include "probes/table.hh"
 
 using namespace t3dsim;
 
-
-
 int
 main(int argc, char **argv)
 {
+    cli::Args args(argc, argv,
+                   "usage: bench_fig1_local_read"
+                   " [--machine=t3d|workstation|both]\n");
     std::string which = "both";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--machine=", 10) == 0)
-            which = argv[i] + 10;
-    }
+    args.value("--machine", which);
+    args.done();
 
     std::cout << "Figure 1: local memory read latency (sawtooth "
                  "stride probe, ns per read)\n";

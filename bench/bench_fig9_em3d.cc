@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -27,27 +26,23 @@
 #include "machine/config.hh"
 #include "probes/table.hh"
 
+#include "cli.hh"
+
 using namespace t3dsim;
 
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
+    cli::Args args(argc, argv,
+                   "usage: bench_fig9_em3d [--quick] [--counters[=PATH]]"
+                   " [--trace[=PATH]]\n");
+    const bool quick = args.flag("--quick");
     probes::ObsConfig observe;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--quick") == 0) {
-            quick = true;
-        } else if (std::strncmp(arg, "--counters", 10) == 0) {
-            observe.counters = true;
-            observe.countersPath =
-                arg[10] == '=' ? arg + 11 : "fig9.counters.json";
-        } else if (std::strncmp(arg, "--trace", 7) == 0) {
-            observe.trace = true;
-            observe.tracePath =
-                arg[7] == '=' ? arg + 8 : "fig9.trace.json";
-        }
-    }
+    observe.counters = args.optionalValue(
+        "--counters", observe.countersPath, "fig9.counters.json");
+    observe.trace = args.optionalValue("--trace", observe.tracePath,
+                                       "fig9.trace.json");
+    args.done();
 
     em3d::Config cfg;
     std::uint32_t pes = 32;

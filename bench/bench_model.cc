@@ -33,7 +33,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -48,41 +47,46 @@
 #include "model/primitives.hh"
 #include "model/sweep.hh"
 #include "model/validate.hh"
+#include "sim/json_writer.hh"
+
+#include "cli.hh"
 
 using namespace t3dsim;
 
 namespace
 {
 
+/** A comma-separated PE list, each entry parsed whole. */
 std::vector<std::uint32_t>
-parsePeList(const std::string &s)
+parsePeList(const cli::Args &args, const char *option,
+            const std::string &s)
 {
     std::vector<std::uint32_t> pes;
     std::stringstream ss(s);
     std::string item;
-    while (std::getline(ss, item, ','))
-        pes.push_back(std::uint32_t(std::stoul(item)));
+    while (std::getline(ss, item, ',')) {
+        std::uint32_t p = 0;
+        if (!cli::parseWhole(item, p))
+            args.invalid(option, s);
+        pes.push_back(p);
+    }
+    if (pes.empty())
+        args.invalid(option, s);
     return pes;
 }
 
 /** Measure + fit, or load a t3dsim-model-v1 file when given. */
 bool
-obtainModel(const std::string &model_path, model::CostModel &cost,
-            std::vector<model::Sweep> *sweeps_out = nullptr)
+obtainModel(const std::string &model_path, model::CostModel &cost)
 {
-    if (!model_path.empty()) {
-        std::string error;
-        const model::Json doc = model::Json::parseFile(model_path,
-                                                       &error);
-        if (!model::readModelJson(doc, cost, &error)) {
-            std::cerr << "error: " << model_path << ": " << error
-                      << "\n";
-            return false;
-        }
-        return true;
-    }
     std::string error;
-    std::vector<model::Sweep> sweeps = model::measureAll(&error);
+    if (!model_path.empty()) {
+        if (model::loadCostModelFile(model_path, cost, error))
+            return true;
+        std::cerr << "error: " << error << "\n";
+        return false;
+    }
+    const std::vector<model::Sweep> sweeps = model::measureAll(&error);
     if (sweeps.empty()) {
         std::cerr << "error: sweeps failed: " << error << "\n";
         return false;
@@ -91,8 +95,6 @@ obtainModel(const std::string &model_path, model::CostModel &cost,
     cost = model::fitCostModel(sweeps, &report);
     for (const std::string &w : report.warnings)
         std::cerr << "fit warning: " << w << "\n";
-    if (sweeps_out)
-        *sweeps_out = std::move(sweeps);
     return true;
 }
 
@@ -106,17 +108,17 @@ cmdSweeps(const std::string &out_path)
         return 1;
     }
     std::ofstream os(out_path);
+    model::writeSweepsJson(os, sweeps);
     if (!os) {
         std::cerr << "error: could not write " << out_path << "\n";
         return 1;
     }
-    model::writeSweepsJson(os, sweeps);
     std::size_t points = 0;
     for (const model::Sweep &s : sweeps)
         points += s.points.size();
     std::cout << "wrote " << out_path << " (" << sweeps.size()
               << " sweeps, " << points << " points)\n";
-    return os ? 0 : 1;
+    return 0;
 }
 
 int
@@ -161,13 +163,13 @@ cmdFit(const std::string &sweeps_path, const std::string &out_path)
         std::cerr << "warning: " << w << "\n";
 
     std::ofstream os(out_path);
+    model::writeModelJson(os, cost);
     if (!os) {
         std::cerr << "error: could not write " << out_path << "\n";
         return 1;
     }
-    model::writeModelJson(os, cost);
     std::cout << "wrote " << out_path << "\n";
-    return os ? 0 : 1;
+    return 0;
 }
 
 /** The apps at default configs; --quick shrinks EM3D's graph. */
@@ -186,40 +188,13 @@ validationSuite(bool quick)
     return suite;
 }
 
-/** Mean nanoseconds per predict() call over the validation rows. */
-double
-timePredictions(const model::CostModel &cost,
-                const std::vector<model::LadderPoint> &points)
-{
-    if (points.empty())
-        return 0;
-    const int reps = 1000;
-    double acc = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r) {
-        for (const model::LadderPoint &pt : points)
-            acc += model::predict(cost, pt.sig).cycles;
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    volatile double sink = acc;
-    (void)sink;
-    return double(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      t1 - t0)
-                      .count()) /
-        (double(reps) * double(points.size()));
-}
-
 int
-cmdValidate(bool quick, std::string pes_list,
+cmdValidate(bool quick, const std::vector<std::uint32_t> &pe_counts,
             const std::string &model_path, std::string out_path,
             double band_pct)
 {
-    if (pes_list.empty())
-        pes_list = quick ? "32" : "32,256";
     if (out_path.empty())
         out_path = "BENCH_model_validate.json";
-    const std::vector<std::uint32_t> pe_counts =
-        parsePeList(pes_list);
 
     model::CostModel cost;
     if (!obtainModel(model_path, cost))
@@ -243,39 +218,32 @@ cmdValidate(bool quick, std::string pes_list,
         model::summarize(std::move(rows), band_pct);
     std::cout << model::reportMarkdown(report);
 
-    const double ns_per_predict = timePredictions(cost, all_points);
+    const double ns_per_predict = model::nsPerPrediction(cost, all_points);
     std::printf("model eval: %.0f ns/prediction\n", ns_per_predict);
 
+    // A stream that failed to open ignores the writes; checked below.
     std::ofstream os(out_path);
-    if (!os) {
-        std::cerr << "error: could not write " << out_path << "\n";
-        return 1;
+    using Layout = sim::JsonWriter::Layout;
+    sim::JsonWriter w(os);
+    w.beginObject(Layout::Lines).member("bench", "model_validate");
+    w.member("quick", quick).member("band_pct", band_pct);
+    w.member("median_abs_error_pct", report.medianAbsErrorPct);
+    w.member("max_abs_error_pct", report.maxAbsErrorPct);
+    w.member("flagged_rows", report.flaggedRows);
+    w.member("ns_per_prediction", ns_per_predict);
+    w.key("per_workload_median_pct").beginObject();
+    for (const auto &[name, median] : report.perWorkloadMedian)
+        w.member(name, median);
+    w.endObject().key("rows").beginArray(Layout::Lines);
+    for (const model::ErrorRow &r : report.rows) {
+        w.beginObject().member("workload", r.workload);
+        w.member("rung", r.rung).member("pes", r.pes);
+        w.member("sim_cycles", r.simulatedCycles);
+        w.member("predicted_cycles", r.predictedCycles);
+        w.member("error_pct", r.errorPct);
+        w.member("flags", r.flags.size()).endObject();
     }
-    os.precision(17);
-    os << "{\n  \"bench\": \"model_validate\",\n"
-       << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-       << "  \"band_pct\": " << band_pct << ",\n"
-       << "  \"median_abs_error_pct\": " << report.medianAbsErrorPct
-       << ",\n  \"max_abs_error_pct\": " << report.maxAbsErrorPct
-       << ",\n  \"flagged_rows\": " << report.flaggedRows
-       << ",\n  \"ns_per_prediction\": " << ns_per_predict
-       << ",\n  \"per_workload_median_pct\": {";
-    for (std::size_t i = 0; i < report.perWorkloadMedian.size(); ++i) {
-        const auto &[name, median] = report.perWorkloadMedian[i];
-        os << (i ? ", " : "") << "\"" << name << "\": " << median;
-    }
-    os << "},\n  \"rows\": [\n";
-    for (std::size_t i = 0; i < report.rows.size(); ++i) {
-        const model::ErrorRow &r = report.rows[i];
-        os << "    {\"workload\": \"" << r.workload
-           << "\", \"rung\": \"" << r.rung << "\", \"pes\": " << r.pes
-           << ", \"sim_cycles\": " << r.simulatedCycles
-           << ", \"predicted_cycles\": " << r.predictedCycles
-           << ", \"error_pct\": " << r.errorPct
-           << ", \"flags\": " << r.flags.size() << "}"
-           << (i + 1 < report.rows.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
+    w.endArray().endObject();
     if (!os) {
         std::cerr << "error: could not write " << out_path << "\n";
         return 1;
@@ -290,13 +258,10 @@ cmdValidate(bool quick, std::string pes_list,
 
 int
 cmdExtrapolate(double target_pes, const std::string &workload,
-               std::string train_list, double scale,
+               const std::string &train_list,
+               const std::vector<std::uint32_t> &train, double scale,
                const std::string &model_path)
 {
-    if (train_list.empty())
-        train_list = "8,16,32,64";
-    const std::vector<std::uint32_t> train = parsePeList(train_list);
-
     // Resolve the workload before any fitting or simulating.
     std::vector<apps::App> selected;
     std::string names;
@@ -398,36 +363,32 @@ cmdExtrapolate(double target_pes, const std::string &workload,
 int
 main(int argc, char **argv)
 {
-    std::string cmd = argc > 1 ? argv[1] : "";
-    bool quick = false;
+    const std::string cmd = argc > 1 ? argv[1] : "";
+    cli::Args args(
+        argc, argv,
+        "usage: t3d-model <sweeps|fit|validate|extrapolate> "
+        "[options]\n"
+        "  sweeps       [--out=F]\n"
+        "  fit          [--sweeps=F] [--out=F]\n"
+        "  validate     [--quick] [--pes=A,B] [--model=F] "
+        "[--out=F] [--band=PCT]\n"
+        "  extrapolate  --pes=N [--workload=W] [--train=A,B,C] "
+        "[--scale=K] [--model=F]\n"
+        "docs/MODEL.md has the handbook.\n",
+        2);
+    const bool quick = args.flag("--quick");
     std::string out_path, sweeps_path, model_path, pes_list,
-        train_list, workload;
-    double band_pct = 10.0, target_pes = 0, scale = 1.0;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--quick")
-            quick = true;
-        else if (arg.rfind("--out=", 0) == 0)
-            out_path = arg.substr(6);
-        else if (arg.rfind("--sweeps=", 0) == 0)
-            sweeps_path = arg.substr(9);
-        else if (arg.rfind("--model=", 0) == 0)
-            model_path = arg.substr(8);
-        else if (arg.rfind("--pes=", 0) == 0)
-            pes_list = arg.substr(6);
-        else if (arg.rfind("--train=", 0) == 0)
-            train_list = arg.substr(8);
-        else if (arg.rfind("--workload=", 0) == 0)
-            workload = arg.substr(11);
-        else if (arg.rfind("--band=", 0) == 0)
-            band_pct = std::stod(arg.substr(7));
-        else if (arg.rfind("--scale=", 0) == 0)
-            scale = std::stod(arg.substr(8));
-        else {
-            std::cerr << "error: unknown option " << arg << "\n";
-            return 2;
-        }
-    }
+        train_list = "8,16,32,64", workload;
+    double band_pct = 10.0, scale = 1.0;
+    args.value("--out", out_path);
+    args.value("--sweeps", sweeps_path);
+    args.value("--model", model_path);
+    args.value("--pes", pes_list);
+    args.value("--train", train_list);
+    args.value("--workload", workload);
+    args.value("--band", band_pct);
+    args.value("--scale", scale);
+    args.done();
 
     if (cmd == "sweeps")
         return cmdSweeps(out_path.empty() ? "model_sweeps.json"
@@ -435,27 +396,22 @@ main(int argc, char **argv)
     if (cmd == "fit")
         return cmdFit(sweeps_path,
                       out_path.empty() ? "model_fit.json" : out_path);
-    if (cmd == "validate")
-        return cmdValidate(quick, pes_list, model_path, out_path,
-                           band_pct);
-    if (cmd == "extrapolate") {
-        if (pes_list.empty()) {
-            std::cerr << "error: extrapolate needs --pes=N\n";
-            return 2;
-        }
-        target_pes = std::stod(pes_list);
-        return cmdExtrapolate(target_pes, workload, train_list, scale,
-                              model_path);
+    if (cmd == "validate") {
+        if (pes_list.empty())
+            pes_list = quick ? "32" : "32,256";
+        return cmdValidate(quick, parsePeList(args, "--pes", pes_list),
+                           model_path, out_path, band_pct);
     }
-    std::cerr
-        << "usage: t3d-model <sweeps|fit|validate|extrapolate> "
-           "[options]\n"
-           "  sweeps       [--out=F]\n"
-           "  fit          [--sweeps=F] [--out=F]\n"
-           "  validate     [--quick] [--pes=A,B] [--model=F] "
-           "[--out=F] [--band=PCT]\n"
-           "  extrapolate  --pes=N [--workload=W] [--train=A,B,C] "
-           "[--scale=K] [--model=F]\n"
-           "docs/MODEL.md has the handbook.\n";
-    return cmd.empty() ? 2 : 2;
+    if (cmd == "extrapolate") {
+        double target_pes = 0;
+        if (pes_list.empty())
+            args.fail("extrapolate needs --pes=N");
+        if (!cli::parseWhole(pes_list, target_pes))
+            args.invalid("--pes", pes_list);
+        return cmdExtrapolate(target_pes, workload, train_list,
+                              parsePeList(args, "--train", train_list),
+                              scale, model_path);
+    }
+    args.fail(cmd.empty() ? "missing command"
+                          : "unknown command '" + cmd + "'");
 }

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -46,6 +45,8 @@
 #include "model/primitives.hh"
 #include "taskgraph/service.hh"
 
+#include "cli.hh"
+
 using namespace t3dsim;
 
 namespace
@@ -53,49 +54,32 @@ namespace
 
 struct Options
 {
-    unsigned threads = 1;
+    /** Workers (--threads), trace directory and, once loaded from
+     *  --model, the cost model. */
+    taskgraph::ServiceOptions service;
     std::string modelPath;
-    std::string traceDir;
     int port = 0;
     bool once = false;
     bool quiet = false;
 };
 
-bool
-parseArgs(int argc, char **argv, Options &opt)
+Options
+parseArgs(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *prefix) -> const char * {
-            const std::size_t n = std::strlen(prefix);
-            return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n
-                                                  : nullptr;
-        };
-        if (const char *v = value("--threads=")) {
-            opt.threads = unsigned(std::strtoul(v, nullptr, 10));
-            if (opt.threads < 1) {
-                std::cerr << "error: --threads must be >= 1\n";
-                return false;
-            }
-        } else if (const char *v = value("--model=")) {
-            opt.modelPath = v;
-        } else if (const char *v = value("--trace-dir=")) {
-            opt.traceDir = v;
-        } else if (const char *v = value("--port=")) {
-            opt.port = int(std::strtol(v, nullptr, 10));
-        } else if (arg == "--once") {
-            opt.once = true;
-        } else if (arg == "--quiet") {
-            opt.quiet = true;
-        } else {
-            std::cerr << "error: unknown argument '" << arg << "'\n"
-                      << "usage: t3d-serve [--threads=N] [--model=F]"
-                         " [--trace-dir=D] [--port=P] [--quiet] |"
-                         " --once\n";
-            return false;
-        }
-    }
-    return true;
+    cli::Args args(argc, argv,
+                   "usage: t3d-serve [--threads=N] [--model=F]"
+                   " [--trace-dir=D] [--port=P] [--quiet] | --once\n");
+    Options opt;
+    if (args.value("--threads", opt.service.workers) &&
+        opt.service.workers < 1)
+        args.fail("--threads must be >= 1");
+    args.value("--model", opt.modelPath);
+    args.value("--trace-dir", opt.service.traceDir);
+    args.value("--port", opt.port);
+    opt.once = args.flag("--once");
+    opt.quiet = args.flag("--quiet");
+    args.done();
+    return opt;
 }
 
 /** Serializes response lines from worker threads onto stdout. */
@@ -174,13 +158,10 @@ listenLoop(int listen_fd, taskgraph::JobService &service,
 int
 main(int argc, char **argv)
 {
-    Options opt;
-    if (!parseArgs(argc, argv, opt))
-        return 2;
-
-    model::CostModel cost;
+    Options opt = parseArgs(argc, argv);
     std::string model_err;
-    if (!model::loadCostModelFile(opt.modelPath, cost, model_err)) {
+    if (!model::loadCostModelFile(opt.modelPath, opt.service.model,
+                                  model_err)) {
         std::cerr << "error: " << model_err << "\n";
         return 1;
     }
@@ -193,7 +174,7 @@ main(int argc, char **argv)
             return 2;
         }
         std::cout << taskgraph::JobService::runStandalone(
-                         line, cost, opt.traceDir)
+                         line, opt.service.model, opt.service.traceDir)
                   << "\n";
         return 0;
     }
@@ -204,12 +185,8 @@ main(int argc, char **argv)
     std::mutex conn_m;
 #endif
 
-    taskgraph::ServiceOptions sopt;
-    sopt.workers = opt.threads;
-    sopt.model = cost;
-    sopt.traceDir = opt.traceDir;
     taskgraph::JobService service(
-        sopt, [&](std::uint64_t tag, const std::string &line) {
+        opt.service, [&](std::uint64_t tag, const std::string &line) {
 #if T3D_SERVE_HAVE_SOCKETS
             if (tag != 0) {
                 auto *sink = reinterpret_cast<SocketSink *>(tag);

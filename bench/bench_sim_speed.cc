@@ -26,8 +26,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -50,6 +48,9 @@
 #include "model/primitives.hh"
 #include "model/validate.hh"
 #include "shell/annex.hh"
+#include "sim/json_writer.hh"
+
+#include "cli.hh"
 
 using namespace t3dsim;
 
@@ -175,6 +176,27 @@ struct LadderOutcome
     apps::Checksum checksum;
 };
 
+/** Host seconds of the fastest of @p passes timed calls of @p pass,
+ *  after one untimed warmup call when @p warmup. The simulation is
+ *  deterministic: every pass leaves the same results behind. */
+template <typename Fn>
+double
+bestOf(int passes, bool warmup, Fn &&pass)
+{
+    if (warmup)
+        pass();
+    double best = 0;
+    for (int i = 0; i < passes; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        pass();
+        const std::chrono::duration<double> host_s =
+            std::chrono::steady_clock::now() - t0;
+        if (best == 0 || host_s.count() < best)
+            best = host_s.count();
+    }
+    return best;
+}
+
 LadderOutcome
 runLadderCase(const apps::App &app, std::uint32_t pes)
 {
@@ -182,33 +204,19 @@ runLadderCase(const apps::App &app, std::uint32_t pes)
     out.app = app.name;
     out.pes = pes;
 
-    // One untimed warmup pass (page cache, allocator), then best of
-    // three timed passes: the 32-PE case finishes in milliseconds,
-    // where cold-start and scheduler noise would dominate a single
-    // cold measurement.
+    // Warmup plus best of three: the 32-PE case finishes in
+    // milliseconds, where cold-start and scheduler noise would
+    // dominate a single cold measurement.
     const machine::MachineConfig mc = machine::MachineConfig::t3d(pes);
-    constexpr int timedPasses = 3;
-    for (int pass = -1; pass < timedPasses; ++pass) {
-        std::uint64_t sim_cycles = 0;
-        apps::Checksum checksum;
-        const auto t0 = std::chrono::steady_clock::now();
+    out.hostSeconds = bestOf(3, true, [&] {
+        out.simCycles = 0;
+        out.checksum = {};
         for (std::size_t i = 0; i < app.rungs.size(); ++i) {
             const apps::RungResult r = app.run(i, mc, {});
-            sim_cycles += r.elapsed;
-            checksum += r.checksum;
+            out.simCycles += r.elapsed;
+            out.checksum += r.checksum;
         }
-        const auto t1 = std::chrono::steady_clock::now();
-        const double host_s =
-            std::chrono::duration<double>(t1 - t0).count();
-        if (pass < 0)
-            continue; // warmup
-        if (out.hostSeconds == 0 || host_s < out.hostSeconds)
-            out.hostSeconds = host_s;
-        // The simulation is deterministic: every pass must produce
-        // the same model time and checksum.
-        out.simCycles = sim_cycles;
-        out.checksum = checksum;
-    }
+    });
     out.simPeCyclesPerHostSecond =
         double(out.simCycles) * pes / out.hostSeconds;
     return out;
@@ -301,29 +309,17 @@ runWeakCase(std::uint32_t pes)
     // PEs one pass runs long enough that cold-start noise is lost in
     // the measurement (and three passes would be a wait).
     const bool careful = pes <= 1024;
-    const int timed_passes = careful ? 3 : 1;
-    for (int pass = careful ? -1 : 0; pass < timed_passes; ++pass) {
-        std::uint64_t sim_cycles = 0;
-        std::uint64_t modeled = 0;
-        double checksum = 0;
-        const auto t0 = std::chrono::steady_clock::now();
+    out.hostSeconds = bestOf(careful ? 3 : 1, careful, [&] {
+        out.simCycles = 0;
+        out.checksum = 0;
+        out.modeledBytes = 0;
         for (em3d::Version v : versions) {
             const em3d::Result r = em3d::run(cfg, v, pes);
-            sim_cycles += r.elapsed;
-            checksum += r.checksum;
-            modeled = std::max(modeled, r.modeledBytes);
+            out.simCycles += r.elapsed;
+            out.checksum += r.checksum;
+            out.modeledBytes = std::max(out.modeledBytes, r.modeledBytes);
         }
-        const auto t1 = std::chrono::steady_clock::now();
-        const double host_s =
-            std::chrono::duration<double>(t1 - t0).count();
-        if (pass < 0)
-            continue; // warmup
-        if (out.hostSeconds == 0 || host_s < out.hostSeconds)
-            out.hostSeconds = host_s;
-        out.simCycles = sim_cycles;
-        out.checksum = checksum;
-        out.modeledBytes = modeled;
-    }
+    });
     out.simPeCyclesPerHostSecond =
         double(out.simCycles) * pes / out.hostSeconds;
     out.modeledBytesPerPe = double(out.modeledBytes) / pes;
@@ -380,34 +376,42 @@ runModelEval(const apps::App &app)
     const auto sim0 = std::chrono::steady_clock::now();
     const std::vector<model::LadderPoint> ladder =
         model::runLadder(app, 32);
-    const auto sim1 = std::chrono::steady_clock::now();
-    const double sim_seconds =
-        double(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   sim1 - sim0)
-                   .count()) /
-        1e9;
+    const std::chrono::duration<double> sim_seconds =
+        std::chrono::steady_clock::now() - sim0;
 
-    const int reps = 1000;
-    double acc = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r) {
-        for (const model::LadderPoint &pt : ladder)
-            acc += model::predict(cm, pt.sig).cycles;
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(acc);
-    const double ns =
-        double(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   t1 - t0)
-                   .count());
     eval.ran = true;
-    eval.nsPerPrediction =
-        ns / (double(reps) * double(ladder.size()));
+    eval.nsPerPrediction = model::nsPerPrediction(cm, ladder);
     const double ladder_model_seconds =
         eval.nsPerPrediction * double(ladder.size()) / 1e9;
     if (ladder_model_seconds > 0)
-        eval.simVsModelSpeedup = sim_seconds / ladder_model_seconds;
+        eval.simVsModelSpeedup =
+            sim_seconds.count() / ladder_model_seconds;
     return eval;
+}
+
+/** One stdout line per ladder case, led by @p label. */
+void
+printLadderCase(const char *label, const LadderOutcome &c, bool named)
+{
+    std::cout << label << (named ? " app=" + c.app : "") << " pes=" << c.pes
+              << " host_s=" << c.hostSeconds << " sim_cycles=" << c.simCycles
+              << " sim_pe_cycles/s=" << c.simPeCyclesPerHostSecond
+              << " checksum=" << c.checksum << "\n";
+}
+
+/** Write one ladder case (em3d sweep or app) as a JSON object. */
+void
+writeLadderCase(sim::JsonWriter &w, const LadderOutcome &c, bool named)
+{
+    w.beginObject();
+    if (named)
+        w.member("app", c.app);
+    w.member("pes", c.pes).member("host_seconds", c.hostSeconds);
+    w.member("sim_cycles", c.simCycles);
+    w.member("sim_pe_cycles_per_host_second", c.simPeCyclesPerHostSecond);
+    w.key("checksum");
+    c.checksum.visit([&w](auto v) { w.value(v); });
+    w.endObject();
 }
 
 bool
@@ -416,79 +420,47 @@ writeSweepJson(const std::vector<LadderOutcome> &cases,
                const std::vector<LadderOutcome> &app_cases,
                const ModelEval &model_eval, const std::string &path)
 {
+    using Layout = sim::JsonWriter::Layout;
     const em3d::Config cfg = sweepConfig();
     std::ofstream os(path);
-    if (!os)
-        return false;
-    os.precision(17);
-    os << "{\n"
-       << "  \"bench\": \"sim_speed_em3d_sweep\",\n"
-       << "  \"host_cores\": " << std::thread::hardware_concurrency()
-       << ",\n"
-       << "  \"host_peak_rss_bytes\": " << peakRssBytes() << ",\n"
-       << "  \"host_rss_note\": \"host_peak_rss_bytes is the "
-       << "process-lifetime high-water mark (ru_maxrss): it is "
-       << "monotone, so per-row readings are cumulative, not "
-       << "per-case; host_current_rss_bytes is a /proc/self/statm "
-       << "sample taken right after the case and is the per-case "
-       << "figure\",\n";
-    // remote_fraction is a config literal (0.2), not a measurement:
-    // print it at input precision, not as the nearest double
-    // (0.20000000000000001).
-    os.precision(6);
-    os << "  \"config\": {\"nodes_per_pe\": " << cfg.nodesPerPe
-       << ", \"degree\": " << cfg.degree
-       << ", \"remote_fraction\": " << cfg.remoteFraction
-       << ", \"iterations\": " << cfg.iterations
-       << ", \"versions\": 6},\n";
-    os.precision(17);
-    os << "  \"cases\": [\n";
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-        const LadderOutcome &c = cases[i];
-        os << "    {\"pes\": " << c.pes
-           << ", \"host_seconds\": " << c.hostSeconds
-           << ", \"sim_cycles\": " << c.simCycles
-           << ", \"sim_pe_cycles_per_host_second\": "
-           << c.simPeCyclesPerHostSecond
-           << ", \"checksum\": " << c.checksum << "}"
-           << (i + 1 < cases.size() ? "," : "") << "\n";
+    sim::JsonWriter w(os);
+    w.beginObject(Layout::Lines).member("bench", "sim_speed_em3d_sweep");
+    w.member("host_cores", std::thread::hardware_concurrency());
+    w.member("host_peak_rss_bytes", peakRssBytes());
+    w.member("host_rss_note",
+             "host_peak_rss_bytes is the process-lifetime high-water "
+             "mark (ru_maxrss): it is monotone, so per-row readings are "
+             "cumulative, not per-case; host_current_rss_bytes is a "
+             "/proc/self/statm sample taken right after the case and is "
+             "the per-case figure");
+    w.key("config").beginObject().member("nodes_per_pe", cfg.nodesPerPe);
+    w.member("degree", cfg.degree);
+    w.member("remote_fraction", cfg.remoteFraction);
+    w.member("iterations", cfg.iterations).member("versions", 6);
+    w.endObject().key("cases").beginArray(Layout::Lines);
+    for (const LadderOutcome &c : cases)
+        writeLadderCase(w, c, false);
+    w.endArray().key("weak_scaling").beginArray(Layout::Lines);
+    for (const WeakOutcome &o : weak) {
+        w.beginObject().member("pes", o.pes);
+        w.member("host_seconds", o.hostSeconds);
+        w.member("sim_cycles", o.simCycles);
+        w.member("sim_pe_cycles_per_host_second",
+                 o.simPeCyclesPerHostSecond);
+        w.member("modeled_bytes", o.modeledBytes);
+        w.member("modeled_bytes_per_pe", o.modeledBytesPerPe);
+        w.member("host_peak_rss_bytes", o.hostPeakRssBytes);
+        w.member("host_current_rss_bytes", o.hostCurrentRssBytes);
+        w.member("checksum", o.checksum).endObject();
     }
-    os << "  ],\n"
-       << "  \"weak_scaling\": [\n";
-    for (std::size_t i = 0; i < weak.size(); ++i) {
-        const WeakOutcome &w = weak[i];
-        os << "    {\"pes\": " << w.pes
-           << ", \"host_seconds\": " << w.hostSeconds
-           << ", \"sim_cycles\": " << w.simCycles
-           << ", \"sim_pe_cycles_per_host_second\": "
-           << w.simPeCyclesPerHostSecond
-           << ", \"modeled_bytes\": " << w.modeledBytes
-           << ", \"modeled_bytes_per_pe\": " << w.modeledBytesPerPe
-           << ", \"host_peak_rss_bytes\": " << w.hostPeakRssBytes
-           << ", \"host_current_rss_bytes\": "
-           << w.hostCurrentRssBytes
-           << ", \"checksum\": " << w.checksum << "}"
-           << (i + 1 < weak.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n"
-       << "  \"apps\": [\n";
-    for (std::size_t i = 0; i < app_cases.size(); ++i) {
-        const LadderOutcome &a = app_cases[i];
-        os << "    {\"app\": \"" << a.app << "\", \"pes\": " << a.pes
-           << ", \"host_seconds\": " << a.hostSeconds
-           << ", \"sim_cycles\": " << a.simCycles
-           << ", \"sim_pe_cycles_per_host_second\": "
-           << a.simPeCyclesPerHostSecond
-           << ", \"checksum\": " << a.checksum << "}"
-           << (i + 1 < app_cases.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n"
-       << "  \"model_eval\": {\"ran\": "
-       << (model_eval.ran ? "true" : "false")
-       << ", \"ns_per_prediction\": " << model_eval.nsPerPrediction
-       << ", \"sim_vs_model_speedup\": "
-       << model_eval.simVsModelSpeedup << "}\n"
-       << "}\n";
+    w.endArray().key("apps").beginArray(Layout::Lines);
+    for (const LadderOutcome &a : app_cases)
+        writeLadderCase(w, a, true);
+    w.endArray().key("model_eval").beginObject();
+    w.member("ran", model_eval.ran);
+    w.member("ns_per_prediction", model_eval.nsPerPrediction);
+    w.member("sim_vs_model_speedup", model_eval.simVsModelSpeedup);
+    w.endObject().endObject();
     return bool(os);
 }
 
@@ -497,47 +469,26 @@ writeSweepJson(const std::vector<LadderOutcome> &cases,
 int
 main(int argc, char **argv)
 {
-    bool sweep_only = false;
-    bool weak_only = false;
+    // google-benchmark strips its own --benchmark_* flags first.
+    benchmark::Initialize(&argc, argv);
+    cli::Args args(argc, argv,
+                   "usage: bench_sim_speed [--sweep-only | --weak-only]"
+                   " [--max-pes=N] [--benchmark_*]\n");
+    const bool sweep_only = args.flag("--sweep-only");
+    const bool weak_only = args.flag("--weak-only");
     std::uint32_t max_pes = 65536;
-    for (int i = 1; i < argc;) {
-        bool eat = true;
-        if (std::strcmp(argv[i], "--sweep-only") == 0) {
-            sweep_only = true;
-        } else if (std::strcmp(argv[i], "--weak-only") == 0) {
-            weak_only = true;
-        } else if (std::strncmp(argv[i], "--max-pes=", 10) == 0) {
-            max_pes = static_cast<std::uint32_t>(
-                std::strtoul(argv[i] + 10, nullptr, 10));
-        } else {
-            eat = false;
-        }
-        if (eat) {
-            for (int j = i; j + 1 < argc; ++j)
-                argv[j] = argv[j + 1];
-            --argc;
-        } else {
-            ++i;
-        }
-    }
+    args.value("--max-pes", max_pes);
+    args.done();
 
-    if (!sweep_only && !weak_only) {
-        benchmark::Initialize(&argc, argv);
+    if (!sweep_only && !weak_only)
         benchmark::RunSpecifiedBenchmarks();
-    }
 
     std::vector<LadderOutcome> cases;
     if (!weak_only) {
         const apps::App em3d_sweep = em3d::app(sweepConfig());
         for (std::uint32_t pes : {32u, 256u}) {
-            const LadderOutcome c = runLadderCase(em3d_sweep, pes);
-            std::cout << "em3d_sweep pes=" << c.pes
-                      << " host_s=" << c.hostSeconds
-                      << " sim_cycles=" << c.simCycles
-                      << " sim_pe_cycles/s="
-                      << c.simPeCyclesPerHostSecond
-                      << " checksum=" << c.checksum << "\n";
-            cases.push_back(c);
+            cases.push_back(runLadderCase(em3d_sweep, pes));
+            printLadderCase("em3d_sweep", cases.back(), false);
         }
     }
     std::vector<WeakOutcome> weak;
@@ -560,15 +511,8 @@ main(int argc, char **argv)
         for (std::uint32_t pes : {32u, 256u})
             for (const apps::App &app : suite)
                 app_cases.push_back(runLadderCase(app, pes));
-        for (const LadderOutcome &a : app_cases) {
-            std::cout << "app_sweep app=" << a.app
-                      << " pes=" << a.pes
-                      << " host_s=" << a.hostSeconds
-                      << " sim_cycles=" << a.simCycles
-                      << " sim_pe_cycles/s="
-                      << a.simPeCyclesPerHostSecond
-                      << " checksum=" << a.checksum << "\n";
-        }
+        for (const LadderOutcome &a : app_cases)
+            printLadderCase("app_sweep", a, true);
         // The default-config qcd ladder, as apps::suite() lists it.
         model_eval = runModelEval(apps::qcd::app({}));
         if (model_eval.ran)

@@ -25,13 +25,15 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "sim/json_writer.hh"
 #include "stress/differential.hh"
 #include "stress/generator.hh"
+
+#include "cli.hh"
 
 namespace
 {
@@ -44,79 +46,48 @@ struct CliOptions
     std::uint64_t seed = 0;
     std::uint64_t corpus = 50;
     std::uint64_t base = 1;
-    std::uint32_t pes = 8;
-    std::uint32_t rounds = 4;
-    std::uint32_t ops = 12;
-    std::uint32_t flood = 0;
-    std::uint32_t amSlots = 0;
-    std::uint32_t ovfSlots = 0;
+
+    /** Traffic shape of every seed (--pes, --rounds, --ops, flood). */
+    stress::StressConfig traffic;
+
     bool repro = false;
     bool saturate = false;
     bool json = false;
     bool largeSmoke = false;
 };
 
-[[noreturn]] void
-usage(int status)
-{
-    std::cerr
-        << "usage: t3d-fuzz [--seed N | --corpus N [--base B]]\n"
-        << "                [--pes P] [--rounds R] [--ops K]\n"
-        << "                [--flood N] [--am-slots Q] [--ovf-slots V]\n"
-        << "                [--repro] [--saturate] [--large-smoke]\n"
-        << "                [--json]\n";
-    std::exit(status);
-}
+const char *const usageText =
+    "usage: t3d-fuzz [--seed N | --corpus N [--base B]]\n"
+    "                [--pes P] [--rounds R] [--ops K]\n"
+    "                [--flood N] [--am-slots Q] [--ovf-slots V]\n"
+    "                [--repro] [--saturate] [--large-smoke]\n"
+    "                [--json]\n";
 
 CliOptions
 parseArgs(int argc, char **argv)
 {
+    cli::Args args(argc, argv, usageText);
+    if (args.flag("--help") || args.flag("-h")) {
+        std::cout << usageText;
+        std::exit(0);
+    }
     CliOptions opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage(2);
-            return argv[++i];
-        };
-        if (arg == "--seed") {
-            opt.haveSeed = true;
-            opt.seed = std::stoull(value());
-        } else if (arg == "--corpus") {
-            opt.corpus = std::stoull(value());
-        } else if (arg == "--base") {
-            opt.base = std::stoull(value());
-        } else if (arg == "--pes") {
-            opt.pes = std::uint32_t(std::stoul(value()));
-        } else if (arg == "--rounds") {
-            opt.rounds = std::uint32_t(std::stoul(value()));
-        } else if (arg == "--ops") {
-            opt.ops = std::uint32_t(std::stoul(value()));
-        } else if (arg == "--flood") {
-            opt.flood = std::uint32_t(std::stoul(value()));
-        } else if (arg == "--am-slots") {
-            opt.amSlots = std::uint32_t(std::stoul(value()));
-        } else if (arg == "--ovf-slots") {
-            opt.ovfSlots = std::uint32_t(std::stoul(value()));
-        } else if (arg == "--repro") {
-            opt.repro = true;
-        } else if (arg == "--saturate") {
-            opt.saturate = true;
-        } else if (arg == "--large-smoke") {
-            opt.largeSmoke = true;
-        } else if (arg == "--json") {
-            opt.json = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else {
-            std::cerr << "t3d-fuzz: unknown option " << arg << "\n";
-            usage(2);
-        }
-    }
-    if (opt.repro && !opt.haveSeed) {
-        std::cerr << "t3d-fuzz: --repro needs --seed\n";
-        usage(2);
-    }
+    opt.haveSeed = args.value("--seed", opt.seed);
+    args.value("--corpus", opt.corpus);
+    args.value("--base", opt.base);
+    args.value("--pes", opt.traffic.pes);
+    args.value("--rounds", opt.traffic.rounds);
+    args.value("--ops", opt.traffic.opsPerRound);
+    args.value("--flood", opt.traffic.amFloodDeposits);
+    args.value("--am-slots", opt.traffic.amQueueSlots);
+    args.value("--ovf-slots", opt.traffic.amOverflowSlots);
+    opt.repro = args.flag("--repro");
+    opt.saturate = args.flag("--saturate");
+    opt.largeSmoke = args.flag("--large-smoke");
+    opt.json = args.flag("--json");
+    args.done();
+    if (opt.repro && !opt.haveSeed)
+        args.fail("--repro needs --seed");
     return opt;
 }
 
@@ -125,16 +96,17 @@ runSaturateDemo(const CliOptions &opt)
 {
     const auto rep = stress::runSaturate();
     if (opt.json) {
-        std::cout << "{\"mode\": \"saturate\", \"completed\": "
-                  << (rep.completed ? "true" : "false")
-                  << ", \"am_deposits\": " << rep.amDeposits
-                  << ", \"am_overflows\": " << rep.amOverflows
-                  << ", \"am_handled\": " << rep.amHandled
-                  << ", \"msgs_sent\": " << rep.msgsSent
-                  << ", \"msg_spills\": " << rep.msgSpills
-                  << ", \"msgs_received\": " << rep.msgsReceived
-                  << ", \"receiver_finish_cycles\": "
-                  << rep.receiverFinish << "}\n";
+        sim::JsonWriter w(std::cout);
+        w.beginObject().member("mode", "saturate");
+        w.member("completed", rep.completed);
+        w.member("am_deposits", rep.amDeposits);
+        w.member("am_overflows", rep.amOverflows);
+        w.member("am_handled", rep.amHandled);
+        w.member("msgs_sent", rep.msgsSent);
+        w.member("msg_spills", rep.msgSpills);
+        w.member("msgs_received", rep.msgsReceived);
+        w.member("receiver_finish_cycles", rep.receiverFinish);
+        w.endObject();
     } else {
         std::cout << "saturate: " << rep.amDeposits
                   << " AM deposits (" << rep.amOverflows
@@ -165,10 +137,8 @@ main(int argc, char **argv)
         return runSaturateDemo(opt);
 
     const auto makeConfig = [&](std::uint64_t seed) {
-        stress::StressConfig cfg{seed, opt.pes, opt.rounds, opt.ops};
-        cfg.amFloodDeposits = opt.flood;
-        cfg.amQueueSlots = opt.amSlots;
-        cfg.amOverflowSlots = opt.ovfSlots;
+        stress::StressConfig cfg = opt.traffic;
+        cfg.seed = seed;
         return cfg;
     };
 
@@ -194,22 +164,21 @@ main(int argc, char **argv)
         stress::Plan::build(makeConfig(opt.seed)).print(std::cout);
 
     std::uint64_t failures = 0;
+    sim::JsonWriter json(std::cout);
     if (opt.json)
-        std::cout << "[\n";
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        const auto rep = stress::runDifferential(configs[i]);
+        json.beginArray(sim::JsonWriter::Layout::Lines);
+    for (const stress::StressConfig &cfg : configs) {
+        const auto rep = stress::runDifferential(cfg);
         if (!rep.pass)
             ++failures;
         if (opt.json) {
-            std::cout << "  {\"seed\": " << rep.seed << ", \"pass\": "
-                      << (rep.pass ? "true" : "false")
-                      << ", \"checksum\": " << rep.reference.checksum
-                      << ", \"mismatches\": [";
-            for (std::size_t k = 0; k < rep.mismatches.size(); ++k)
-                std::cout << (k ? ", " : "") << '"'
-                          << rep.mismatches[k] << '"';
-            std::cout << "]}" << (i + 1 < configs.size() ? "," : "")
-                      << "\n";
+            json.beginObject().member("seed", rep.seed);
+            json.member("pass", rep.pass);
+            json.member("checksum", rep.reference.checksum);
+            json.key("mismatches").beginArray();
+            for (const std::string &msg : rep.mismatches)
+                json.value(msg);
+            json.endArray().endObject();
         } else {
             std::cout << "seed " << rep.seed << ": "
                       << (rep.pass ? "ok" : "FAIL") << "\n";
@@ -218,7 +187,7 @@ main(int argc, char **argv)
         }
     }
     if (opt.json)
-        std::cout << "]\n";
+        json.endArray();
 
     if (!opt.json)
         std::cout << (configs.size() - failures) << "/" << configs.size()

@@ -62,18 +62,27 @@ class Checksum
 
     bool operator==(const Checksum &) const = default;
 
+    /** Calls @p fn with the total as its own kind: the uint64
+     *  digest or the double sum (int 0 while empty). */
+    template <typename Fn>
+    void
+    visit(Fn &&fn) const
+    {
+        std::visit(
+            [&fn](auto v) {
+                if constexpr (std::is_same_v<decltype(v), std::monostate>)
+                    fn(0);
+                else
+                    fn(v);
+            },
+            _value);
+    }
+
     /** Prints the number under the stream's own precision. */
     friend std::ostream &
     operator<<(std::ostream &os, const Checksum &c)
     {
-        std::visit(
-            [&os](auto v) {
-                if constexpr (std::is_same_v<decltype(v), std::monostate>)
-                    os << 0;
-                else
-                    os << v;
-            },
-            c._value);
+        c.visit([&os](auto v) { os << v; });
         return os;
     }
 

@@ -55,24 +55,16 @@ struct MachineConfig
     /** Torus hop cost: 2-3 cycles per hop (§4.2). */
     Cycles hopCycles = 2;
 
-    /**
-     * log2 of the node Storage's lazy chunk size; 0 = auto. Auto
-     * keeps the historical 64 KiB chunks on small machines (fewer,
-     * larger allocations on the hot path) and drops to 4 KiB chunks
-     * once the torus is large enough that per-touched-region
-     * granularity dominates the host footprint (DESIGN.md §11).
-     */
-    unsigned storageChunkShift = 0;
-
-    /** PE count at which the auto chunk size switches to 4 KiB. */
+    /** PE count at which node Storage drops from the historical
+     *  64 KiB chunks (fewer, larger allocations on the hot path) to
+     *  4 KiB ones, once per-touched-region granularity dominates the
+     *  host footprint (DESIGN.md §11). */
     static constexpr std::uint32_t fineChunkPes = 2048;
 
-    /** The storageChunkShift this config resolves to. */
+    /** log2 of the node Storage's lazy chunk size at this PE count. */
     unsigned
     resolvedStorageChunkShift() const
     {
-        if (storageChunkShift != 0)
-            return storageChunkShift;
         return numPes >= fineChunkPes ? 12u
                                       : mem::Storage::defaultChunkShift;
     }

@@ -25,7 +25,7 @@
  * keep the historical 64 KiB default; large tori use finer chunks so
  * a node that only ever touches its stack and a few ghost lines pays
  * KBs, not 64 KiB per touched region (see
- * machine::MachineConfig::storageChunkShift).
+ * machine::MachineConfig::resolvedStorageChunkShift).
  */
 
 #ifndef T3DSIM_MEM_STORAGE_HH

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
+
+#include "sim/json_writer.hh"
 
 namespace t3dsim::model
 {
@@ -294,13 +295,11 @@ namespace
 {
 
 void
-writeLinearFit(std::ostream &os, const char *name,
-               const LinearFit &fit, bool trailingComma)
+writeLinearFit(sim::JsonWriter &w, const char *name, const LinearFit &fit)
 {
-    os << "    \"" << name << "\": {\"intercept\": " << fit.intercept
-       << ", \"slope\": " << fit.slope << ", \"r2\": " << fit.quality.r2
-       << ", \"points\": " << fit.quality.points << "}"
-       << (trailingComma ? "," : "") << "\n";
+    w.key(name).beginObject().member("intercept", fit.intercept);
+    w.member("slope", fit.slope).member("r2", fit.quality.r2);
+    w.member("points", fit.quality.points).endObject();
 }
 
 bool
@@ -321,47 +320,42 @@ readLinearFit(const Json &j, LinearFit &fit)
 void
 writeModelJson(std::ostream &os, const CostModel &model)
 {
-    os.precision(17);
-    os << "{\n  \"schema\": \"t3dsim-model-v1\",\n  \"terms\": [\n";
-    for (std::size_t i = 0; i < model.terms.size(); ++i) {
-        const CostTerm &t = model.terms[i];
-        os << "    {\"name\": \"" << t.name << "\", \"counter\": \""
-           << t.counter << "\", \"cycles_per_unit\": " << t.beta
-           << ", \"fitted\": " << (t.fitted ? "true" : "false")
-           << ", \"flag_on_nonzero\": "
-           << (t.flagOnNonzero ? "true" : "false");
+    using Layout = sim::JsonWriter::Layout;
+    sim::JsonWriter w(os);
+    w.beginObject(Layout::Lines).member("schema", "t3dsim-model-v1");
+    w.key("terms").beginArray(Layout::Lines);
+    for (const CostTerm &t : model.terms) {
+        w.beginObject().member("name", t.name).member("counter", t.counter);
+        w.member("cycles_per_unit", t.beta).member("fitted", t.fitted);
+        w.member("flag_on_nonzero", t.flagOnNonzero);
         if (!t.sweeps.empty())
-            os << ", \"sweeps\": \"" << t.sweeps << "\"";
+            w.member("sweeps", t.sweeps);
         if (!t.paper.empty())
-            os << ", \"paper\": \"" << t.paper << "\"";
+            w.member("paper", t.paper);
         if (!t.note.empty())
-            os << ", \"note\": \"" << t.note << "\"";
+            w.member("note", t.note);
         if (t.quality.points > 0) {
-            os << ", \"fit\": {\"points\": " << t.quality.points
-               << ", \"r2\": " << t.quality.r2
-               << ", \"median_rel_err\": " << t.quality.medianRelErr
-               << ", \"max_rel_err\": " << t.quality.maxRelErr << "}";
+            w.key("fit").beginObject().member("points", t.quality.points);
+            w.member("r2", t.quality.r2);
+            w.member("median_rel_err", t.quality.medianRelErr);
+            w.member("max_rel_err", t.quality.maxRelErr).endObject();
         }
-        os << "}" << (i + 1 < model.terms.size() ? "," : "") << "\n";
+        w.endObject();
     }
-    os << "  ],\n  \"direct_cycle_counters\": [";
-    for (std::size_t i = 0; i < model.directCycleCounters.size(); ++i) {
-        os << "\"" << model.directCycleCounters[i] << "\""
-           << (i + 1 < model.directCycleCounters.size() ? ", " : "");
-    }
-    os << "],\n  \"curves\": {\n";
-    writeLinearFit(os, "blt_read", model.bltRead, true);
-    writeLinearFit(os, "blt_write", model.bltWrite, true);
-    writeLinearFit(os, "bulk_get_prefetch", model.bulkGetPrefetch,
-                   true);
-    writeLinearFit(os, "prefetch_group", model.prefetchGroup, false);
-    os << "  },\n  \"barrier_scaling\": {\"term\": \""
-       << scalingTermName(model.barrierScaling.term)
-       << "\", \"intercept\": " << model.barrierScaling.intercept
-       << ", \"slope\": " << model.barrierScaling.slope
-       << ", \"r2\": " << model.barrierScaling.quality.r2 << "},\n"
-       << "  \"blt_crossover_bytes\": " << model.bltCrossoverBytes
-       << "\n}\n";
+    w.endArray().key("direct_cycle_counters").beginArray();
+    for (const std::string &c : model.directCycleCounters)
+        w.value(c);
+    w.endArray().key("curves").beginObject(Layout::Lines);
+    writeLinearFit(w, "blt_read", model.bltRead);
+    writeLinearFit(w, "blt_write", model.bltWrite);
+    writeLinearFit(w, "bulk_get_prefetch", model.bulkGetPrefetch);
+    writeLinearFit(w, "prefetch_group", model.prefetchGroup);
+    const ScalingFit &barrier = model.barrierScaling;
+    w.endObject().key("barrier_scaling").beginObject();
+    w.member("term", scalingTermName(barrier.term));
+    w.member("intercept", barrier.intercept).member("slope", barrier.slope);
+    w.member("r2", barrier.quality.r2).endObject();
+    w.member("blt_crossover_bytes", model.bltCrossoverBytes).endObject();
 }
 
 bool

@@ -2,6 +2,8 @@
 
 #include <ostream>
 
+#include "sim/json_writer.hh"
+
 namespace t3dsim::model
 {
 
@@ -28,33 +30,29 @@ Sweep::xyPoints() const
 void
 writeSweepsJson(std::ostream &os, const std::vector<Sweep> &sweeps)
 {
-    os.precision(17);
-    os << "{\n  \"schema\": \"t3dsim-sweeps-v1\",\n  \"sweeps\": [\n";
-    for (std::size_t i = 0; i < sweeps.size(); ++i) {
-        const Sweep &s = sweeps[i];
-        os << "    {\"primitive\": \"" << s.primitive
-           << "\", \"x_unit\": \"" << s.xUnit << "\"";
+    using Layout = sim::JsonWriter::Layout;
+    sim::JsonWriter w(os);
+    w.beginObject(Layout::Lines).member("schema", "t3dsim-sweeps-v1");
+    w.key("sweeps").beginArray(Layout::Lines);
+    for (const Sweep &s : sweeps) {
+        w.beginObject().member("primitive", s.primitive);
+        w.member("x_unit", s.xUnit);
         if (!s.note.empty())
-            os << ", \"note\": \"" << s.note << "\"";
-        os << ", \"points\": [\n";
-        for (std::size_t j = 0; j < s.points.size(); ++j) {
-            const SweepPoint &p = s.points[j];
-            os << "      {\"x\": " << p.x << ", \"cycles\": "
-               << p.cycles;
+            w.member("note", s.note);
+        w.key("points").beginArray(Layout::Lines);
+        for (const SweepPoint &p : s.points) {
+            w.beginObject().member("x", p.x).member("cycles", p.cycles);
             if (!p.counters.empty()) {
-                os << ", \"counters\": {";
-                for (std::size_t k = 0; k < p.counters.size(); ++k) {
-                    os << "\"" << p.counters[k].first
-                       << "\": " << p.counters[k].second
-                       << (k + 1 < p.counters.size() ? ", " : "");
-                }
-                os << "}";
+                w.key("counters").beginObject();
+                for (const auto &[name, value] : p.counters)
+                    w.member(name, value);
+                w.endObject();
             }
-            os << "}" << (j + 1 < s.points.size() ? "," : "") << "\n";
+            w.endObject();
         }
-        os << "    ]}" << (i + 1 < sweeps.size() ? "," : "") << "\n";
+        w.endArray().endObject();
     }
-    os << "  ]\n}\n";
+    w.endArray().endObject();
 }
 
 bool

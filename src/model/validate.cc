@@ -1,6 +1,7 @@
 #include "model/validate.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -50,6 +51,26 @@ runLadder(const apps::App &app, std::uint32_t pes)
         ladder.push_back(std::move(pt));
     }
     return ladder;
+}
+
+double
+nsPerPrediction(const CostModel &cost,
+                const std::vector<LadderPoint> &points)
+{
+    if (points.empty())
+        return 0;
+    const int reps = 1000;
+    double acc = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int r = 0; r < reps; ++r) {
+        for (const LadderPoint &pt : points)
+            acc += predict(cost, pt.sig).cycles;
+    }
+    const std::chrono::duration<double, std::nano> ns =
+        std::chrono::steady_clock::now() - t0;
+    volatile double sink = acc;
+    (void)sink;
+    return ns.count() / (double(reps) * double(points.size()));
 }
 
 std::vector<ErrorRow>

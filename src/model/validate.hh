@@ -42,6 +42,11 @@ struct LadderPoint
 std::vector<LadderPoint> runLadder(const apps::App &app,
                                    std::uint32_t pes);
 
+/** Mean host nanoseconds per predict() call over @p points (1000
+ *  timed repetitions; 0 when @p points is empty). */
+double nsPerPrediction(const CostModel &cost,
+                       const std::vector<LadderPoint> &points);
+
 /** One predicted-vs-simulated comparison. */
 struct ErrorRow
 {

@@ -27,50 +27,44 @@ aggregate(const std::vector<PerfCounters> &per_pe)
     return total;
 }
 
-namespace
-{
-
 void
-writeCounterObject(std::ostream &os, const PerfCounters &c,
-                   const char *indent)
+writeCounterObject(sim::JsonWriter &w, const PerfCounters &c,
+                   sim::JsonWriter::Layout layout)
 {
     const auto &infos = PerfCounters::infos();
-    os << "{";
-    for (std::size_t i = 0; i < PerfCounters::numCounters; ++i) {
-        os << (i ? "," : "") << "\n"
-           << indent << "  \"" << infos[i].name << "\": " << c.value(i);
-    }
-    os << "\n" << indent << "}";
+    w.beginObject(layout);
+    for (std::size_t i = 0; i < PerfCounters::numCounters; ++i)
+        w.member(infos[i].name, c.value(i));
+    w.endObject();
 }
-
-} // namespace
 
 void
 writeCountersJson(std::ostream &os,
                   const std::vector<PerfCounters> &per_pe,
                   const TorusLinkStats *torus)
 {
-    os << "{\n  \"schema\": \"t3dsim-counters-v1\",\n"
-       << "  \"pes\": " << per_pe.size() << ",\n  \"total\": ";
-    writeCounterObject(os, aggregate(per_pe), "  ");
-    os << ",\n  \"per_pe\": [";
-    for (std::size_t pe = 0; pe < per_pe.size(); ++pe) {
-        os << (pe ? "," : "") << "\n    ";
-        writeCounterObject(os, per_pe[pe], "    ");
-    }
-    os << "\n  ]";
+    using Layout = sim::JsonWriter::Layout;
+    sim::JsonWriter w(os);
+    w.beginObject(Layout::Lines).member("schema", "t3dsim-counters-v1");
+    w.member("pes", per_pe.size()).key("total");
+    writeCounterObject(w, aggregate(per_pe), Layout::Lines);
+    w.key("per_pe").beginArray(Layout::Lines);
+    for (const PerfCounters &c : per_pe)
+        writeCounterObject(w, c, Layout::Lines);
+    w.endArray();
     if (torus) {
-        os << ",\n  \"torus\": {\n    \"dims\": [" << torus->dx << ", "
-           << torus->dy << ", " << torus->dz << "],\n"
-           << "    \"dim_traversals\": [" << torus->dimTraversals[0]
-           << ", " << torus->dimTraversals[1] << ", "
-           << torus->dimTraversals[2] << "],\n"
-           << "    \"link_traversals\": [";
-        for (std::size_t i = 0; i < torus->linkTraversals.size(); ++i)
-            os << (i ? ", " : "") << torus->linkTraversals[i];
-        os << "]\n  }";
+        w.key("torus").beginObject(Layout::Lines);
+        w.key("dims").beginArray();
+        w.value(torus->dx).value(torus->dy).value(torus->dz);
+        w.endArray().key("dim_traversals").beginArray();
+        for (std::uint64_t n : torus->dimTraversals)
+            w.value(n);
+        w.endArray().key("link_traversals").beginArray();
+        for (std::uint64_t n : torus->linkTraversals)
+            w.value(n);
+        w.endArray().endObject();
     }
-    os << "\n}\n";
+    w.endObject();
 }
 
 void

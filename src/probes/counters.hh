@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/json_writer.hh"
 #include "sim/types.hh"
 
 namespace t3dsim::probes
@@ -138,6 +139,12 @@ struct TorusLinkStats
      */
     std::vector<std::uint64_t> linkTraversals;
 };
+
+/** The full counter taxonomy of @p c as one JSON object, keyed by
+ *  counter name in taxonomy order. */
+void writeCounterObject(
+    sim::JsonWriter &w, const PerfCounters &c,
+    sim::JsonWriter::Layout layout = sim::JsonWriter::Layout::Inline);
 
 /**
  * Machine-wide counter report as JSON: schema, totals, per-PE

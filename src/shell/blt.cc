@@ -2,12 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
-#include "sim/arena.hh"
 #include "sim/logging.hh"
 
 namespace t3dsim::shell
 {
+
+namespace
+{
+
+/** A staging buffer of at least @p bytes, reused by every transfer
+ *  on this host thread (JobService workers each run a machine). */
+std::uint8_t *
+stagingBuffer(std::size_t bytes)
+{
+    thread_local std::vector<std::uint8_t> buf;
+    if (buf.size() < bytes)
+        buf.resize(bytes);
+    return buf.data();
+}
+
+} // namespace
 
 BlockTransferEngine::BlockTransferEngine(const ShellConfig &config,
                                          PeId local_pe,
@@ -78,10 +94,7 @@ BlockTransferEngine::startRead(PeId src, Addr remote_offset,
     const Cycles start = invoke();
     const Cycles transit = _machine.transitCycles(_localPe, src);
 
-    // Staging buffer from the per-thread scratch arena: one transfer
-    // per scope, dropped on return (DESIGN.md §9).
-    sim::ArenaScope scratch;
-    std::uint8_t *buf = scratch.alloc(len);
+    std::uint8_t *buf = stagingBuffer(len);
     if (src == _localPe)
         _core.storage().readBlock(remote_offset, buf, len);
     else
@@ -108,8 +121,7 @@ BlockTransferEngine::startWrite(PeId dst, Addr remote_offset,
     const Cycles start = invoke();
     const Cycles transit = _machine.transitCycles(_localPe, dst);
 
-    sim::ArenaScope scratch;
-    std::uint8_t *buf = scratch.alloc(len);
+    std::uint8_t *buf = stagingBuffer(len);
     _core.storage().readBlock(local_offset, buf, len);
     if (dst == _localPe)
         _core.storage().writeBlock(remote_offset, buf, len);
@@ -132,8 +144,7 @@ BlockTransferEngine::startStridedRead(PeId src, Addr remote_offset,
     const Cycles start = invoke();
     const Cycles transit = _machine.transitCycles(_localPe, src);
 
-    sim::ArenaScope scratch;
-    std::uint8_t *elem = scratch.alloc(elem_bytes);
+    std::uint8_t *elem = stagingBuffer(elem_bytes);
     for (std::size_t i = 0; i < count; ++i) {
         const Addr roff = remote_offset + i * remote_stride;
         const Addr loff = local_offset + i * local_stride;
@@ -164,8 +175,7 @@ BlockTransferEngine::startStridedWrite(PeId dst, Addr remote_offset,
     const Cycles start = invoke();
     const Cycles transit = _machine.transitCycles(_localPe, dst);
 
-    sim::ArenaScope scratch;
-    std::uint8_t *elem = scratch.alloc(elem_bytes);
+    std::uint8_t *elem = stagingBuffer(elem_bytes);
     for (std::size_t i = 0; i < count; ++i) {
         const Addr roff = remote_offset + i * remote_stride;
         const Addr loff = local_offset + i * local_stride;

@@ -318,9 +318,6 @@ Scheduler::run(const ProgramFn &program)
     } hook_guard{*this};
     installHooks();
 
-    // BLT staging on this thread bumps into the scheduler's arena.
-    sim::ScratchArenaInstall scratch_install(_scratchArena);
-
     _ready.clear();
     _ready.reserve(_slots.size());
     _pendingWakeups.clear();

@@ -31,7 +31,6 @@
 
 #include "machine/machine.hh"
 #include "splitc/config.hh"
-#include "sim/arena.hh"
 #include "sim/types.hh"
 
 namespace t3dsim::splitc
@@ -346,10 +345,6 @@ class Scheduler
     std::size_t _done = 0;
 
     bool _running = false;
-
-    /** Scratch arena installed on the running thread for the
-     *  duration of run() (BLT staging buffers; sim/arena.hh). */
-    sim::EventArena _scratchArena;
 };
 
 /**

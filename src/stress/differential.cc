@@ -152,7 +152,7 @@ runSaturate()
     rep.amHandled = handled;
     rep.msgsReceived = received;
     rep.amOverflows = overflows;
-    rep.msgSpills = m.node(1).counters().msgSpills;
+    rep.msgSpills = m.node(1).shell().messages().spilled();
     rep.receiverFinish = finish.size() > 1 ? finish[1] : 0;
     return rep;
 }

@@ -4,6 +4,7 @@
 
 #include "model/json.hh"
 #include "sim/hash.hh"
+#include "sim/json_writer.hh"
 #include "taskgraph/graph.hh"
 #include "taskgraph/predict.hh"
 #include "taskgraph/run.hh"
@@ -21,38 +22,6 @@ hex64(std::uint64_t v)
     std::snprintf(buf, sizeof buf, "0x%016llx",
                   static_cast<unsigned long long>(v));
     return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char esc[8];
-                std::snprintf(esc, sizeof esc, "\\u%04x", c);
-                out += esc;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 /** One parsed request line. */
@@ -134,41 +103,34 @@ parseRequest(const std::string &line, Request &req, std::string &err)
     return true;
 }
 
-/** Execute and render the response fragment past the id/cache
- *  fields. Depends only on the cache key's inputs, so cached
- *  fragments are valid for every client. */
+/** Execute and render the response payload: one compact object
+ *  whose members follow the id/cache fields. Depends only on the
+ *  cache key's inputs, so cached payloads are valid for every
+ *  client. */
 std::string
 executePayload(const Request &req, const model::CostModel &model,
                const std::string &trace_dir)
 {
     std::ostringstream os;
-    os << "\"mode\":\"" << (req.predict ? "predict" : "simulate")
-       << "\",\"pes\":" << req.pes
-       << ",\"tasks\":" << req.graph.tasks.size()
-       << ",\"edges\":" << req.graph.edges.size()
-       << ",\"levels\":" << req.plan.levels << ",\"graph_hash\":\""
-       << hex64(req.graphHash) << "\",\"machine_hash\":\""
-       << hex64(req.machineHash) << '"';
+    sim::JsonWriter w(os, sim::JsonWriter::Style::Compact);
+    w.beginObject().member("mode", req.predict ? "predict" : "simulate");
+    w.member("pes", req.pes).member("tasks", req.graph.tasks.size());
+    w.member("edges", req.graph.edges.size());
+    w.member("levels", req.plan.levels);
+    w.member("graph_hash", hex64(req.graphHash));
+    w.member("machine_hash", hex64(req.machineHash));
 
     if (req.predict) {
         const model::Prediction pred =
             predictGraph(req.graph, req.plan, model);
-        os << ",\"predicted_cycles\":"
-           << static_cast<std::uint64_t>(pred.cycles)
-           << ",\"breakdown\":{";
-        bool first = true;
-        for (const auto &[term, cycles] : pred.breakdown) {
-            os << (first ? "" : ",") << '"' << jsonEscape(term)
-               << "\":" << static_cast<std::uint64_t>(cycles);
-            first = false;
-        }
-        os << "},\"flags\":[";
-        first = true;
-        for (const std::string &flag : pred.flags) {
-            os << (first ? "" : ",") << '"' << jsonEscape(flag) << '"';
-            first = false;
-        }
-        os << ']';
+        w.member("predicted_cycles", std::uint64_t(pred.cycles));
+        w.key("breakdown").beginObject();
+        for (const auto &[term, cycles] : pred.breakdown)
+            w.member(term, std::uint64_t(cycles));
+        w.endObject().key("flags").beginArray();
+        for (const std::string &flag : pred.flags)
+            w.value(flag);
+        w.endArray().endObject();
         return os.str();
     }
 
@@ -181,31 +143,38 @@ executePayload(const Request &req, const model::CostModel &model,
                              ".trace.json";
     }
     const RunResult r = simulate(req.graph, req.plan, ropt);
-    os << ",\"makespan_cycles\":" << r.makespanCycles
-       << ",\"finish_hash\":\"" << hex64(r.finishHash)
-       << "\",\"checksum\":\"" << hex64(r.checksum) << '"';
+    w.member("makespan_cycles", r.makespanCycles);
+    w.member("finish_hash", hex64(r.finishHash));
+    w.member("checksum", hex64(r.checksum));
     if (req.trace) {
-        os << ",\"trace_events\":" << r.traceEvents;
+        w.member("trace_events", r.traceEvents);
         if (!ropt.tracePath.empty())
-            os << ",\"trace_path\":\"" << jsonEscape(ropt.tracePath)
-               << '"';
+            w.member("trace_path", ropt.tracePath);
     }
+    w.endObject();
     return os.str();
 }
 
 std::string
 errorResponse(const std::string &id, const std::string &err)
 {
-    return "{\"id\":\"" + jsonEscape(id) + "\",\"ok\":false,\"error\":\"" +
-           jsonEscape(err) + "\"}";
+    std::ostringstream os;
+    sim::JsonWriter w(os, sim::JsonWriter::Style::Compact);
+    w.beginObject().member("id", id).member("ok", false);
+    w.member("error", err).endObject();
+    return os.str();
 }
 
 std::string
 okResponse(const std::string &id, bool cache_hit,
            const std::string &payload)
 {
-    return "{\"id\":\"" + jsonEscape(id) + "\",\"ok\":true,\"cache\":\"" +
-           (cache_hit ? "hit" : "miss") + "\"," + payload + "}";
+    std::ostringstream os;
+    sim::JsonWriter w(os, sim::JsonWriter::Style::Compact);
+    w.beginObject().member("id", id).member("ok", true);
+    w.member("cache", cache_hit ? "hit" : "miss").members(payload);
+    w.endObject();
+    return os.str();
 }
 
 } // namespace

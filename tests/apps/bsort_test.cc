@@ -11,6 +11,7 @@
 
 #include "apps/bsort/bsort.hh"
 #include "machine/machine.hh"
+#include "probes/counters.hh"
 
 namespace
 {
@@ -113,16 +114,21 @@ TEST(BsortRun, CountersCaptureTheExchange)
 
     const Result ghost =
         apps::bsort::run(smallConfig(), Variant::Ghost, mc);
-    ASSERT_TRUE(ghost.countersValid);
-    EXPECT_GT(ghost.counters.remoteReads, 0u);
-    EXPECT_GT(ghost.counters.barriers, 0u);
-
     const Result off =
         apps::bsort::run(smallConfig(), Variant::Ghost, 6);
     EXPECT_FALSE(off.countersValid);
     // Observability must not perturb the simulated timing.
     EXPECT_EQ(off.elapsed, ghost.elapsed);
     EXPECT_EQ(off.checksum, ghost.checksum);
+
+#if T3D_OBS_ENABLED
+    ASSERT_TRUE(ghost.countersValid);
+    EXPECT_GT(ghost.counters.remoteReads, 0u);
+    EXPECT_GT(ghost.counters.barriers, 0u);
+#else
+    // Compiled out: asking for counters yields none.
+    EXPECT_FALSE(ghost.countersValid);
+#endif
 }
 
 } // namespace

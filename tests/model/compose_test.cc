@@ -90,7 +90,9 @@ TEST(RoundTrip, FittedModelPredictsAppLadders)
 {
     std::string error;
     const std::vector<Sweep> sweeps = measureAll(&error);
+#if T3D_OBS_ENABLED
     ASSERT_FALSE(sweeps.empty()) << error;
+#endif
     const CostModel m = fitCostModel(sweeps);
 
     apps::qcd::Config qcfg; // 4^4 sites, 2 sweeps — fast
@@ -105,11 +107,17 @@ TEST(RoundTrip, FittedModelPredictsAppLadders)
     const ValidationReport report =
         summarize(validateLadder(m, points), 15.0);
     ASSERT_EQ(report.rows.size(), 10u);
+    for (const LadderPoint &pt : points)
+        EXPECT_GT(pt.simulatedCycles, 0.0) << pt.sig.rung;
+
+#if T3D_OBS_ENABLED
+    // The error band needs counter signatures (and a fitted model).
     for (const ErrorRow &row : report.rows) {
         EXPECT_LT(std::abs(row.errorPct), 15.0)
             << row.workload << "/" << row.rung;
     }
     EXPECT_LT(report.medianAbsErrorPct, 10.0);
+#endif
 }
 
 TEST(Validate, SummarizeComputesMediansAndFlags)

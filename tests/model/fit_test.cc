@@ -15,6 +15,7 @@
 #include "model/measure.hh"
 #include "model/primitives.hh"
 #include "model/sweep.hh"
+#include "probes/counters.hh"
 
 namespace t3dsim::model
 {
@@ -135,12 +136,21 @@ TEST(FitCostModel, RealSweepsFitWithinResidualBand)
 {
     std::string error;
     const std::vector<Sweep> sweeps = measureAll(&error);
+#if T3D_OBS_ENABLED
     ASSERT_FALSE(sweeps.empty()) << error;
+#else
+    // The sweeps price counters: a build without them refuses to
+    // measure, and the fit keeps its assumed coefficients.
+    EXPECT_TRUE(sweeps.empty());
+    EXPECT_NE(error.find("perf counters are disabled"),
+              std::string::npos)
+        << error;
+#endif
 
     FitReport report;
     const CostModel m = fitCostModel(sweeps, &report);
 
-    // Anchor coefficients the paper pins down.
+    // Anchor coefficients the paper pins down (fitted or assumed).
     EXPECT_NEAR(m.beta("l1Hits"), 1.0, 0.05);
     EXPECT_NEAR(m.beta("annexFaults"), 23.0, 2.0);
     EXPECT_GT(m.beta("remoteReads"), 60.0);
@@ -155,12 +165,14 @@ TEST(FitCostModel, RealSweepsFitWithinResidualBand)
         EXPECT_LT(t.quality.medianRelErr, 0.05) << t.name;
     }
 
+#if T3D_OBS_ENABLED
     // Fig. 8: BLT bandwidth near 1 cycle/byte after startup, and a
     // solved crossover in the thousands of bytes.
     EXPECT_GT(m.bltRead.slope, 0.9);
     EXPECT_LT(m.bltRead.slope, 1.4);
     EXPECT_GT(m.bltCrossoverBytes, 2000.0);
     EXPECT_LT(m.bltCrossoverBytes, 20000.0);
+#endif
 
     // No negative prices survive fitting.
     for (const CostTerm &t : m.terms)
@@ -172,7 +184,11 @@ TEST(ModelJson, SweepAndModelRoundTrip)
 {
     std::string error;
     const std::vector<Sweep> sweeps = measureAll(&error);
+#if T3D_OBS_ENABLED
     ASSERT_FALSE(sweeps.empty()) << error;
+#endif
+    // Without counters the sweeps are empty and the model is the
+    // assumed one; both must still survive the round trip.
 
     std::ostringstream ss;
     writeSweepsJson(ss, sweeps);

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "probes/counters.hh"
 #include "stress/differential.hh"
 #include "stress/generator.hh"
 
@@ -162,11 +163,13 @@ TEST(StressDifferential, RunIsDeterministic)
             << "seed " << g.seed;
         EXPECT_EQ(rep.reference.checksum, g.checksum) << "seed " << g.seed;
 
+#if T3D_OBS_ENABLED
         std::uint64_t overflows = 0;
         for (const auto &ctr : rep.reference.counters)
             overflows += ctr.amOverflows;
         EXPECT_GT(overflows, 0u)
             << "seed " << g.seed << ": flood must enter the ring";
+#endif
     }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "probes/counters.hh"
 #include "taskgraph/graph.hh"
 #include "taskgraph/lower.hh"
 #include "taskgraph/run.hh"
@@ -108,10 +109,12 @@ TEST(TaskGraphRun, TracingDoesNotPerturbResults)
     EXPECT_EQ(ts.makespanCycles, golden.makespanCycles);
     EXPECT_EQ(ts.finishHash, golden.finishHash);
     EXPECT_EQ(ts.checksum, golden.checksum);
-    EXPECT_GT(ts.traceEvents, 0u);
 
     // Tracing is deterministic too: same event count every run.
     EXPECT_EQ(simulate(g, plan, traced).traceEvents, ts.traceEvents);
+#if T3D_OBS_ENABLED
+    EXPECT_GT(ts.traceEvents, 0u);
+#endif
 }
 
 TEST(TaskGraphRun, UnpinnedGraphIsBitIdenticalAcrossRuns)

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "model/json.hh"
 #include "model/primitives.hh"
 #include "taskgraph/service.hh"
 
@@ -233,6 +234,10 @@ TEST(JobService, RejectsMalformedRequests)
                    " [{\"src\": \"a\", \"dst\": \"b\"},"
                    "  {\"src\": \"b\", \"dst\": \"a\"}]}}",
                    4);
+    // An id with a quote and a newline must come back escaped, so
+    // the error response still parses and echoes it unchanged.
+    service.submit("{\"id\": \"q\\\"uote\\nline\", \"mode\": \"guess\"}",
+                   5);
     service.drain();
 
     EXPECT_TRUE(contains(out.responses[1], "\"ok\":false"));
@@ -240,6 +245,11 @@ TEST(JobService, RejectsMalformedRequests)
     EXPECT_TRUE(contains(out.responses[2], "missing 'graph'"));
     EXPECT_TRUE(contains(out.responses[3], "unknown mode 'guess'"));
     EXPECT_TRUE(contains(out.responses[4], "cycle through task"));
-    EXPECT_EQ(service.stats().errors, 4u);
+    std::string error;
+    const model::Json echoed = model::Json::parse(out.responses[5], &error);
+    ASSERT_TRUE(error.empty()) << error << ": " << out.responses[5];
+    EXPECT_EQ(echoed["id"].str(), "q\"uote\nline");
+    EXPECT_FALSE(echoed["ok"].boolean());
+    EXPECT_EQ(service.stats().errors, 5u);
     EXPECT_EQ(service.stats().simulations, 0u);
 }
