@@ -1,15 +1,16 @@
 /**
  * @file
- * Host-side simulator throughput (google-benchmark): how fast the
- * model itself executes simulated operations. Not a paper figure —
- * this guards the usability of the library (slow models make the
- * Figure 9 sweeps impractical).
+ * Host-side simulator throughput: how fast the model itself executes
+ * simulated operations. Not a paper figure — this guards the
+ * usability of the library (slow models make the Figure 9 sweeps
+ * impractical). Per-call micro timings and the application ladders
+ * are perfbench's job (perfbench/README.md); this binary keeps the
+ * end-to-end sweeps nothing else runs.
  *
- * Besides the google-benchmark micro cases, the binary always runs an
- * end-to-end EM3D-sweep throughput case (all six Figure 9 versions)
- * at 32 and 256 PEs and writes the result to BENCH_sim_speed.json so
- * successive PRs can track the host-performance trajectory. Pass
- * --sweep-only to skip the micro benchmarks.
+ * An EM3D-sweep throughput case (all six Figure 9 versions) runs at
+ * 32 and 256 PEs; its sim_cycles and checksums are the determinism
+ * anchors. Results go to BENCH_sim_speed.json so successive changes
+ * can track the host-performance trajectory.
  *
  * A second, weak-scaling sweep takes the PE count through 256 / 1K /
  * 4K / 16K / 64K (three Figure 9 versions) and reports
@@ -35,11 +36,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include <benchmark/benchmark.h>
-
-#include "alpha/address.hh"
 #include "apps/app.hh"
-#include "apps/bsort/bsort.hh"
 #include "apps/qcd/qcd.hh"
 #include "em3d/em3d.hh"
 #include "machine/machine.hh"
@@ -47,7 +44,6 @@
 #include "model/measure.hh"
 #include "model/primitives.hh"
 #include "model/validate.hh"
-#include "shell/annex.hh"
 #include "sim/json_writer.hh"
 
 #include "cli.hh"
@@ -56,88 +52,6 @@ using namespace t3dsim;
 
 namespace
 {
-
-void
-BM_LocalCacheHit(benchmark::State &state)
-{
-    machine::Machine m(machine::MachineConfig::t3d(2));
-    auto &node = m.node(0);
-    node.core().loadU64(0x1000);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(node.core().loadU64(0x1000));
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LocalCacheHit);
-
-void
-BM_LocalMiss(benchmark::State &state)
-{
-    machine::Machine m(machine::MachineConfig::t3d(2));
-    auto &node = m.node(0);
-    Addr a = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(node.core().loadU64(a));
-        a = (a + 32) % (8 * MiB);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LocalMiss);
-
-void
-BM_LocalStore(benchmark::State &state)
-{
-    machine::Machine m(machine::MachineConfig::t3d(2));
-    auto &node = m.node(0);
-    Addr a = 0;
-    for (auto _ : state) {
-        node.core().storeU64(a, 1);
-        a = (a + 32) % (8 * MiB);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LocalStore);
-
-void
-BM_RemoteUncachedRead(benchmark::State &state)
-{
-    machine::Machine m(machine::MachineConfig::t3d(2));
-    auto &node = m.node(0);
-    node.shell().setAnnex(1, {1, shell::ReadMode::Uncached});
-    const Addr va = alpha::makeAnnexedVa(1, 0);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(node.loadU64(va));
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RemoteUncachedRead);
-
-void
-BM_RemoteWrite(benchmark::State &state)
-{
-    machine::Machine m(machine::MachineConfig::t3d(2));
-    auto &node = m.node(0);
-    node.shell().setAnnex(1, {1, shell::ReadMode::Uncached});
-    Addr a = 0;
-    for (auto _ : state) {
-        node.storeU64(alpha::makeAnnexedVa(1, a), 1);
-        a = (a + 32) % (64 * MiB / 2);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RemoteWrite);
-
-void
-BM_Em3dIteration(benchmark::State &state)
-{
-    em3d::Config cfg;
-    cfg.nodesPerPe = 50;
-    cfg.degree = 5;
-    cfg.remoteFraction = 0.3;
-    for (auto _ : state) {
-        auto result = em3d::run(cfg, em3d::Version::Get, 4);
-        benchmark::DoNotOptimize(result.usPerEdge);
-    }
-}
-BENCHMARK(BM_Em3dIteration);
 
 // ---------------------------------------------------------------------
 // End-to-end EM3D-sweep throughput (BENCH_sim_speed.json)
@@ -159,7 +73,6 @@ sweepConfig()
 /** One ladder case: every rung of one app at one PE count. */
 struct LadderOutcome
 {
-    std::string app;
     std::uint32_t pes = 0;
     double hostSeconds = 0;
 
@@ -201,7 +114,6 @@ LadderOutcome
 runLadderCase(const apps::App &app, std::uint32_t pes)
 {
     LadderOutcome out;
-    out.app = app.name;
     out.pes = pes;
 
     // Warmup plus best of three: the 32-PE case finishes in
@@ -328,25 +240,6 @@ runWeakCase(std::uint32_t pes)
     return out;
 }
 
-// ---------------------------------------------------------------------
-// Application-suite throughput (docs/APPS.md)
-// ---------------------------------------------------------------------
-
-/** The application ladders at sizes that keep the 256-PE case
- *  short. The apps stress shell paths the EM3D sweep barely touches
- *  (all-to-all, dense face exchange), so their host throughput is
- *  tracked separately. */
-std::vector<apps::App>
-appSweepSuite()
-{
-    apps::bsort::Config bsort;
-    bsort.keysPerPe = 256;
-    apps::qcd::Config qcd;
-    qcd.lx = qcd.ly = qcd.lz = qcd.lt = 2;
-    qcd.sweeps = 1;
-    return {apps::bsort::app(bsort), apps::qcd::app(qcd)};
-}
-
 /** The analytical model's evaluation cost next to simulation cost
  *  (docs/MODEL.md §7): one app ladder simulated, then answered by
  *  the composed model instead. */
@@ -389,35 +282,9 @@ runModelEval(const apps::App &app)
     return eval;
 }
 
-/** One stdout line per ladder case, led by @p label. */
-void
-printLadderCase(const char *label, const LadderOutcome &c, bool named)
-{
-    std::cout << label << (named ? " app=" + c.app : "") << " pes=" << c.pes
-              << " host_s=" << c.hostSeconds << " sim_cycles=" << c.simCycles
-              << " sim_pe_cycles/s=" << c.simPeCyclesPerHostSecond
-              << " checksum=" << c.checksum << "\n";
-}
-
-/** Write one ladder case (em3d sweep or app) as a JSON object. */
-void
-writeLadderCase(sim::JsonWriter &w, const LadderOutcome &c, bool named)
-{
-    w.beginObject();
-    if (named)
-        w.member("app", c.app);
-    w.member("pes", c.pes).member("host_seconds", c.hostSeconds);
-    w.member("sim_cycles", c.simCycles);
-    w.member("sim_pe_cycles_per_host_second", c.simPeCyclesPerHostSecond);
-    w.key("checksum");
-    c.checksum.visit([&w](auto v) { w.value(v); });
-    w.endObject();
-}
-
 bool
 writeSweepJson(const std::vector<LadderOutcome> &cases,
                const std::vector<WeakOutcome> &weak,
-               const std::vector<LadderOutcome> &app_cases,
                const ModelEval &model_eval, const std::string &path)
 {
     using Layout = sim::JsonWriter::Layout;
@@ -438,8 +305,16 @@ writeSweepJson(const std::vector<LadderOutcome> &cases,
     w.member("remote_fraction", cfg.remoteFraction);
     w.member("iterations", cfg.iterations).member("versions", 6);
     w.endObject().key("cases").beginArray(Layout::Lines);
-    for (const LadderOutcome &c : cases)
-        writeLadderCase(w, c, false);
+    for (const LadderOutcome &c : cases) {
+        w.beginObject().member("pes", c.pes);
+        w.member("host_seconds", c.hostSeconds);
+        w.member("sim_cycles", c.simCycles);
+        w.member("sim_pe_cycles_per_host_second",
+                 c.simPeCyclesPerHostSecond);
+        w.key("checksum");
+        c.checksum.visit([&w](auto v) { w.value(v); });
+        w.endObject();
+    }
     w.endArray().key("weak_scaling").beginArray(Layout::Lines);
     for (const WeakOutcome &o : weak) {
         w.beginObject().member("pes", o.pes);
@@ -453,9 +328,6 @@ writeSweepJson(const std::vector<LadderOutcome> &cases,
         w.member("host_current_rss_bytes", o.hostCurrentRssBytes);
         w.member("checksum", o.checksum).endObject();
     }
-    w.endArray().key("apps").beginArray(Layout::Lines);
-    for (const LadderOutcome &a : app_cases)
-        writeLadderCase(w, a, true);
     w.endArray().key("model_eval").beginObject();
     w.member("ran", model_eval.ran);
     w.member("ns_per_prediction", model_eval.nsPerPrediction);
@@ -469,26 +341,24 @@ writeSweepJson(const std::vector<LadderOutcome> &cases,
 int
 main(int argc, char **argv)
 {
-    // google-benchmark strips its own --benchmark_* flags first.
-    benchmark::Initialize(&argc, argv);
     cli::Args args(argc, argv,
-                   "usage: bench_sim_speed [--sweep-only | --weak-only]"
-                   " [--max-pes=N] [--benchmark_*]\n");
-    const bool sweep_only = args.flag("--sweep-only");
+                   "usage: bench_sim_speed [--weak-only] [--max-pes=N]\n");
     const bool weak_only = args.flag("--weak-only");
     std::uint32_t max_pes = 65536;
     args.value("--max-pes", max_pes);
     args.done();
 
-    if (!sweep_only && !weak_only)
-        benchmark::RunSpecifiedBenchmarks();
-
     std::vector<LadderOutcome> cases;
     if (!weak_only) {
         const apps::App em3d_sweep = em3d::app(sweepConfig());
         for (std::uint32_t pes : {32u, 256u}) {
-            cases.push_back(runLadderCase(em3d_sweep, pes));
-            printLadderCase("em3d_sweep", cases.back(), false);
+            const LadderOutcome c = runLadderCase(em3d_sweep, pes);
+            std::cout << "em3d_sweep pes=" << c.pes
+                      << " host_s=" << c.hostSeconds
+                      << " sim_cycles=" << c.simCycles
+                      << " sim_pe_cycles/s=" << c.simPeCyclesPerHostSecond
+                      << " checksum=" << c.checksum << "\n";
+            cases.push_back(c);
         }
     }
     std::vector<WeakOutcome> weak;
@@ -504,15 +374,8 @@ main(int argc, char **argv)
         weak.push_back(w);
     }
 
-    std::vector<LadderOutcome> app_cases;
     ModelEval model_eval;
     if (!weak_only) {
-        const std::vector<apps::App> suite = appSweepSuite();
-        for (std::uint32_t pes : {32u, 256u})
-            for (const apps::App &app : suite)
-                app_cases.push_back(runLadderCase(app, pes));
-        for (const LadderOutcome &a : app_cases)
-            printLadderCase("app_sweep", a, true);
         // The default-config qcd ladder, as apps::suite() lists it.
         model_eval = runModelEval(apps::qcd::app({}));
         if (model_eval.ran)
@@ -522,8 +385,7 @@ main(int argc, char **argv)
                       << model_eval.simVsModelSpeedup << "\n";
     }
 
-    if (!writeSweepJson(cases, weak, app_cases, model_eval,
-                        "BENCH_sim_speed.json")) {
+    if (!writeSweepJson(cases, weak, model_eval, "BENCH_sim_speed.json")) {
         std::cerr << "error: could not write BENCH_sim_speed.json\n";
         return 1;
     }

@@ -18,10 +18,18 @@ nullValue()
     return v;
 }
 
+/** Deepest object/array nesting the parser accepts. The documents
+ *  it reads (sweeps, fitted models, task graphs) nest about 6 deep;
+ *  the bound keeps hostile input from overflowing the stack. */
+constexpr int kMaxDepth = 256;
+
 struct Parser
 {
+    explicit Parser(const std::string &t) : text(t) {}
+
     const std::string &text;
     std::size_t pos = 0;
+    int depth = 0;
     std::string error;
 
     bool
@@ -107,56 +115,71 @@ struct Parser
     }
 
     bool
+    parseObject(Json &out)
+    {
+        ++pos;
+        out = Json::makeObject();
+        skipWs();
+        if (consume('}'))
+            return true;
+        while (true) {
+            std::string key;
+            if (!parseString(key))
+                return false;
+            if (!consume(':'))
+                return fail("expected ':'");
+            Json v;
+            if (!parseValue(v))
+                return false;
+            out.set(key, std::move(v));
+            if (consume(','))
+                continue;
+            if (consume('}'))
+                return true;
+            return fail("expected ',' or '}'");
+        }
+    }
+
+    bool
+    parseArray(Json &out)
+    {
+        ++pos;
+        std::vector<Json> items;
+        skipWs();
+        if (consume(']')) {
+            out = Json::makeArray({});
+            return true;
+        }
+        while (true) {
+            Json v;
+            if (!parseValue(v))
+                return false;
+            items.push_back(std::move(v));
+            if (consume(','))
+                continue;
+            if (consume(']')) {
+                out = Json::makeArray(std::move(items));
+                return true;
+            }
+            return fail("expected ',' or ']'");
+        }
+    }
+
+    bool
     parseValue(Json &out)
     {
         skipWs();
         if (pos >= text.size())
             return fail("unexpected end of input");
         const char c = text[pos];
-        if (c == '{') {
-            ++pos;
-            out = Json::makeObject();
-            skipWs();
-            if (consume('}'))
-                return true;
-            while (true) {
-                std::string key;
-                if (!parseString(key))
-                    return false;
-                if (!consume(':'))
-                    return fail("expected ':'");
-                Json v;
-                if (!parseValue(v))
-                    return false;
-                out.set(key, std::move(v));
-                if (consume(','))
-                    continue;
-                if (consume('}'))
-                    return true;
-                return fail("expected ',' or '}'");
-            }
-        }
-        if (c == '[') {
-            ++pos;
-            std::vector<Json> items;
-            skipWs();
-            if (consume(']')) {
-                out = Json::makeArray({});
-                return true;
-            }
-            while (true) {
-                Json v;
-                if (!parseValue(v))
-                    return false;
-                items.push_back(std::move(v));
-                if (consume(','))
-                    continue;
-                if (consume(']')) {
-                    out = Json::makeArray(std::move(items));
-                    return true;
-                }
-                return fail("expected ',' or ']'");
-            }
+        if (c == '{' || c == '[') {
+            if (depth == kMaxDepth)
+                return fail("nesting deeper than " +
+                            std::to_string(kMaxDepth));
+            ++depth;
+            const bool ok = c == '{' ? parseObject(out) : parseArray(out);
+            --depth;
+            return ok;
         }
         if (c == '"') {
             std::string s;
@@ -227,7 +250,7 @@ Json::numberOr(const std::string &key, double fallback) const
 Json
 Json::parse(const std::string &text, std::string *error)
 {
-    Parser p{text};
+    Parser p(text);
     Json out;
     if (!p.parseValue(out)) {
         if (error)

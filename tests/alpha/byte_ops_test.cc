@@ -72,8 +72,9 @@ TEST(ByteOps, MergeExtractRoundTrip)
             EXPECT_EQ(extbl(merged, idx), v);
             // Other bytes untouched.
             for (unsigned other = 0; other < 8; ++other) {
-                if (other != idx)
+                if (other != idx) {
                     EXPECT_EQ(extbl(merged, other), extbl(word, other));
+                }
             }
         }
     }

@@ -5,6 +5,9 @@
  * malformed files a user will inevitably hand `t3d-model fit`.
  */
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "model/json.hh"
@@ -42,9 +45,11 @@ TEST(Json, ParsesNestedStructure)
 
 TEST(Json, RejectsMalformedInput)
 {
-    for (const char *bad :
-         {"{", "[1,", "{\"a\" 1}", "tru", "\"unterminated",
-          "{\"a\": 1,}", "[1 2]", "01x"}) {
+    // The last case nests past the parser's depth limit; unbounded
+    // recursion would overflow the stack instead of failing.
+    for (const std::string &bad : std::vector<std::string>{
+             "{", "[1,", "{\"a\" 1}", "tru", "\"unterminated",
+             "{\"a\": 1,}", "[1 2]", "01x", std::string(200000, '[')}) {
         std::string error;
         const Json doc = Json::parse(bad, &error);
         EXPECT_TRUE(doc.isNull()) << bad;

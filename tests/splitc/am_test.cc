@@ -146,8 +146,9 @@ TEST(Am, PollReturnsFalseWhenEmpty)
 {
     Machine m(MachineConfig::t3d(2));
     runSpmd(m, [&](Proc &p) -> ProcTask {
-        if (p.pe() == 1)
+        if (p.pe() == 1) {
             EXPECT_FALSE(p.amPoll());
+        }
         co_return;
     });
 }

@@ -31,8 +31,9 @@ TEST(Store, DataArrives)
         if (p.pe() == 0)
             p.storeU64(GlobalAddr::make(1, 0x30000), 123);
         co_await p.allStoreSync();
-        if (p.pe() == 1)
+        if (p.pe() == 1) {
             EXPECT_EQ(p.node().core().loadU64(0x30000), 123u);
+        }
         co_return;
     });
 }
@@ -138,9 +139,10 @@ TEST(Store, AllStoreSyncDeliversEverything)
         }
         co_await p.allStoreSync();
         for (PeId src = 0; src < p.procs(); ++src) {
-            if (src != p.pe())
+            if (src != p.pe()) {
                 EXPECT_EQ(p.node().core().loadU64(0x30000 + 8 * src),
                           100u + src);
+            }
         }
         co_return;
     });

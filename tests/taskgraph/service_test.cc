@@ -110,8 +110,9 @@ TEST(JobService, AnswersConcurrentBatchWithCoalescedCache)
         const std::string payload =
             payloadOf(out.responses[static_cast<std::uint64_t>(i)]);
         auto [it, fresh] = byKey.emplace(key, payload);
-        if (!fresh)
+        if (!fresh) {
             EXPECT_EQ(it->second, payload) << key;
+        }
     }
 
     const JobService::Stats stats = service.stats();
@@ -238,6 +239,9 @@ TEST(JobService, RejectsMalformedRequests)
     // the error response still parses and echoes it unchanged.
     service.submit("{\"id\": \"q\\\"uote\\nline\", \"mode\": \"guess\"}",
                    5);
+    service.submit("{\"mode\":\"simulate\",\"graph\":" +
+                       std::string(200000, '['),
+                   6);
     service.drain();
 
     EXPECT_TRUE(contains(out.responses[1], "\"ok\":false"));
@@ -250,6 +254,7 @@ TEST(JobService, RejectsMalformedRequests)
     ASSERT_TRUE(error.empty()) << error << ": " << out.responses[5];
     EXPECT_EQ(echoed["id"].str(), "q\"uote\nline");
     EXPECT_FALSE(echoed["ok"].boolean());
-    EXPECT_EQ(service.stats().errors, 5u);
+    EXPECT_TRUE(contains(out.responses[6], "nesting deeper than 256"));
+    EXPECT_EQ(service.stats().errors, 6u);
     EXPECT_EQ(service.stats().simulations, 0u);
 }
