@@ -20,11 +20,12 @@
  *
  * The synthetic kernel graph follows the paper: a configurable
  * number of nodes per processor, fixed degree, and a dial for the
- * fraction of edges that cross processors. Remote edges reference a
- * uniformly random other processor; the resulting interleaving of
- * destination PEs is what makes repeated annex set-up visible and
- * reproduces Figure 9's Put-beats-Get and Bulk-beats-Put ordering
- * (§8: Bulk "avoids repeated Annex set-up operations").
+ * fraction of edges that cross processors. A remote edge references
+ * a uniformly random processor among the distinct pe +/- 1 and
+ * pe +/- 2 (DESIGN.md §6); the resulting interleaving of destination
+ * PEs is what makes repeated annex set-up visible and reproduces
+ * Figure 9's Put-beats-Get and Bulk-beats-Put ordering (§8: Bulk
+ * "avoids repeated Annex set-up operations").
  */
 
 #ifndef T3DSIM_EM3D_EM3D_HH
@@ -132,26 +133,20 @@ class Graph
      */
     static Graph build(machine::Machine &machine, const Config &config);
 
-    /** Consumer-side view of one producer's contribution. */
+    /**
+     * Consumer-side view of one producer's contribution: ghost slots
+     * firstSlot .. firstSlot + count - 1 hold its values, in
+     * ascending producer-local index order.
+     */
     struct ProducerGroup
     {
         PeId srcPe;
         std::uint32_t firstSlot;
+        std::uint32_t count;
 
-        /** Producer-local indices, in ghost-slot order. */
-        std::vector<std::uint32_t> srcIdxs;
-
-        /** Where the producer stages these values (Bulk version). */
+        /** Where the producer stages these values (Bulk version):
+         *  its stage entries from producerStageOffset / 8 on. */
         Addr producerStageOffset = 0;
-    };
-
-    /** Producer-side view of one consumer's staging region (Bulk). */
-    struct StageGroup
-    {
-        PeId dstPe;
-        Addr stageOffset;
-        std::uint32_t dstFirstSlot;
-        std::vector<std::uint32_t> srcIdxs;
     };
 
     /** One field direction's per-PE data. */
@@ -172,8 +167,11 @@ class Graph
          *  destination-PE interleaving causes annex churn). */
         std::vector<Push> pushes;
 
-        /** Producer view of per-consumer staging regions (Bulk). */
-        std::vector<StageGroup> stageGroups;
+        /** Producer view (Bulk): local indices to gather, one run
+         *  per consumer group in ascending consumer PE order, each
+         *  run in that group's slot order. Entry k is staged at
+         *  stageBase + 8k. */
+        std::vector<std::uint32_t> stage;
 
         std::uint32_t ghostCount = 0;
     };

@@ -1,7 +1,9 @@
 #include "em3d/em3d.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -35,63 +37,43 @@ namespace
 {
 
 /**
- * Assign ghost slots (grouped by producer, producer-local indices
- * ascending within a group), build the fetch list and consumer
- * groups, and resolve every edge's compute-phase local address.
+ * The only processors a PE's remote edges reference: the distinct
+ * processors among pe - 2, pe - 1, pe + 1 and pe + 2 (mod P), other
+ * than pe itself. On fewer than five PEs the set collapses (P = 1
+ * has none). The relation is symmetric, so the same set bounds the
+ * producers of both sides: E edges reference these PEs, and H edges
+ * come back from them.
  */
-void
-resolveSide(Graph::Side &side, PeId pe, Addr vals_base, Addr ghost_base)
+struct Neighbours
 {
-    // Distinct remote references, sorted by (srcPe, srcIdx): the
-    // index into this vector IS the ghost slot, so slots come out
-    // grouped by producer and the Bulk version can move each
-    // producer's values as one contiguous block. Sort + unique +
-    // binary search replaces a per-side red-black tree — graph
-    // construction is part of every benchmark's host time.
-    std::vector<std::pair<PeId, std::uint32_t>> keys;
-    for (const auto &edge : side.edges) {
-        if (edge.srcPe != pe)
-            keys.emplace_back(edge.srcPe, edge.srcIdx);
-    }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    /** In generator order (the generator draws an index into it). */
+    std::array<PeId, 4> pe{};
 
-    const auto slot_of = [&](PeId src_pe, std::uint32_t src_idx) {
-        const auto it = std::lower_bound(
-            keys.begin(), keys.end(), std::make_pair(src_pe, src_idx));
-        return static_cast<std::uint32_t>(it - keys.begin());
-    };
+    /** The same processors in ascending PE order. */
+    std::array<PeId, 4> ascending{};
 
-    for (std::uint32_t slot = 0; slot < keys.size(); ++slot) {
-        const auto &[src_pe, src_idx] = keys[slot];
-        if (side.groups.empty() || side.groups.back().srcPe != src_pe)
-            side.groups.push_back({src_pe, slot, {}, 0});
-        side.groups.back().srcIdxs.push_back(src_idx);
-    }
-    side.ghostCount = static_cast<std::uint32_t>(keys.size());
+    std::uint32_t count = 0;
+};
 
-    // The fetch list (Bundle/Get) is in edge-discovery order (the
-    // order a compiler-built ghost list would fetch in — producers
-    // interleave, so Bundle/Get pay the annex set-up churn of §8).
-    std::vector<bool> listed(keys.size(), false);
-    for (const auto &edge : side.edges) {
-        if (edge.srcPe == pe)
-            continue;
-        const std::uint32_t slot = slot_of(edge.srcPe, edge.srcIdx);
-        if (!listed[slot]) {
-            listed[slot] = true;
-            side.fetches.push_back({edge.srcPe, edge.srcIdx, slot});
+Neighbours
+neighboursOf(PeId pe, std::uint32_t pes)
+{
+    Neighbours nb;
+    for (int d : {-2, -1, 1, 2}) {
+        const PeId q = static_cast<PeId>(
+            (static_cast<int>(pe) + d + 2 * static_cast<int>(pes)) % pes);
+        if (q != pe && std::find(nb.pe.begin(), nb.pe.begin() + nb.count,
+                                 q) == nb.pe.begin() + nb.count) {
+            nb.pe[nb.count++] = q;
         }
     }
-
-    for (auto &edge : side.edges) {
-        if (edge.srcPe == pe) {
-            edge.localValueAddr = vals_base + Addr{edge.srcIdx} * 8;
-        } else {
-            const std::uint32_t slot = slot_of(edge.srcPe, edge.srcIdx);
-            edge.localValueAddr = ghost_base + Addr{slot} * 8;
-        }
+    for (std::uint32_t i = 0; i < nb.count; ++i) {
+        std::uint32_t rank = 0;
+        for (std::uint32_t j = 0; j < nb.count; ++j)
+            rank += nb.pe[j] < nb.pe[i];
+        nb.ascending[rank] = nb.pe[i];
     }
+    return nb;
 }
 
 /** Accessor for the side (E or H) of a PerPe record. */
@@ -101,51 +83,109 @@ sideOf(Graph::PerPe &pp, bool e_side)
     return e_side ? pp.e : pp.h;
 }
 
+/** Slot-table entry of a remote value no edge references. */
+constexpr std::uint32_t unreferenced = ~std::uint32_t{0};
+
 /**
- * Build producer-side push lists and Bulk staging layout from the
- * consumers' groups, and tell each consumer group where its producer
- * stages its values.
+ * Scratch for resolveSide, reused across calls: the ghost slot of
+ * value i of neighbour q is slots[rowOf[q] + i], where rowOf[q] is
+ * q's rank among the side's neighbours (ascending PE) times
+ * nodesPerPe. Entries of rowOf for non-neighbours are stale.
+ */
+struct SlotTable
+{
+    std::vector<std::size_t> rowOf;
+    std::vector<std::uint32_t> slots;
+};
+
+/**
+ * Resolve one side of @p pe, whose edges are final:
+ *
+ * - ghost slots, grouped by producer in ascending PE order and by
+ *   producer-local index within a group, so the Bulk version moves
+ *   each producer's values as one contiguous block;
+ * - on each producer, the stage entries and (unsorted) pushes for
+ *   this consumer — called for consumers in ascending PE order, so
+ *   each producer's stage lists its consumers in that order;
+ * - the fetch list, in edge-discovery order (the order a
+ *   compiler-built ghost list would fetch in: producers interleave,
+ *   so Bundle/Get pay the annex set-up churn of §8);
+ * - every edge's compute-phase local address.
  */
 void
-buildProducerViews(Graph &g, bool e_side)
+resolveSide(Graph &g, PeId pe, bool e_side, SlotTable &table)
 {
-    // Staging regions: on each producer, consumers in ascending
-    // dstPe order. One pass over the consumers (visited in ascending
-    // pe order, so each producer sees its consumers in the required
-    // order) instead of a producers x consumers rescan.
-    std::vector<Addr> stage_offset(g.pes, 0);
-    for (PeId pe = 0; pe < g.pes; ++pe) {
-        Graph::Side &cons = sideOf(g.perPe[pe], e_side);
-        for (auto &group : cons.groups) {
-            const PeId q = group.srcPe;
-            Graph::Side &prod = sideOf(g.perPe[q], e_side);
-            Addr &offset = stage_offset[q];
-            Graph::StageGroup sg;
-            sg.dstPe = pe;
-            sg.stageOffset = offset;
-            sg.dstFirstSlot = group.firstSlot;
-            sg.srcIdxs = group.srcIdxs;
-            group.producerStageOffset = offset;
-            offset += Addr{8} * sg.srcIdxs.size();
-            prod.stageGroups.push_back(std::move(sg));
+    Graph::Side &side = sideOf(g.perPe[pe], e_side);
+    const Addr vals_base = e_side ? g.hValsBase : g.eValsBase;
+    const Addr ghost_base = e_side ? g.eGhostBase : g.hGhostBase;
+    const std::uint32_t n = g.config.nodesPerPe;
+    const Neighbours nb = neighboursOf(pe, g.pes);
 
-            // Push list entries (slot order within the group).
-            for (std::uint32_t k = 0; k < group.srcIdxs.size(); ++k) {
-                prod.pushes.push_back(
-                    {group.srcIdxs[k], pe, group.firstSlot + k});
-            }
-        }
+    for (std::uint32_t r = 0; r < nb.count; ++r)
+        table.rowOf[nb.ascending[r]] = std::size_t{r} * n;
+    const auto slot_of = [&](const Edge &edge) -> std::uint32_t & {
+        return table.slots[table.rowOf[edge.srcPe] + edge.srcIdx];
+    };
+
+    table.slots.assign(std::size_t{nb.count} * n, unreferenced);
+    for (const auto &edge : side.edges) {
+        if (edge.srcPe != pe)
+            slot_of(edge) = 0;
     }
-    for (PeId q = 0; q < g.pes; ++q) {
+
+    std::uint32_t slot = 0;
+    for (std::uint32_t r = 0; r < nb.count; ++r) {
+        const PeId q = nb.ascending[r];
         Graph::Side &prod = sideOf(g.perPe[q], e_side);
-        // Node-order iteration on the producer: sort by source index
-        // so consecutive pushes interleave destination PEs — the
-        // annex-churn pattern of the Put version (§8).
-        std::stable_sort(prod.pushes.begin(), prod.pushes.end(),
-                         [](const Push &a, const Push &b) {
-                             return a.srcIdx < b.srcIdx;
-                         });
+        const std::uint32_t first = slot;
+        const Addr stage_offset = Addr{8} * prod.stage.size();
+        for (std::uint32_t idx = 0; idx < n; ++idx) {
+            std::uint32_t &entry = table.slots[std::size_t{r} * n + idx];
+            if (entry == unreferenced)
+                continue;
+            entry = slot;
+            prod.stage.push_back(idx);
+            prod.pushes.push_back({idx, pe, slot});
+            ++slot;
+        }
+        if (slot != first)
+            side.groups.push_back({q, first, slot - first, stage_offset});
     }
+    side.ghostCount = slot;
+
+    std::vector<bool> listed(side.ghostCount, false);
+    side.fetches.reserve(side.ghostCount);
+    for (auto &edge : side.edges) {
+        if (edge.srcPe == pe) {
+            edge.localValueAddr = vals_base + Addr{edge.srcIdx} * 8;
+            continue;
+        }
+        const std::uint32_t s = slot_of(edge);
+        if (!listed[s]) {
+            listed[s] = true;
+            side.fetches.push_back({edge.srcPe, edge.srcIdx, s});
+        }
+        edge.localValueAddr = ghost_base + Addr{s} * 8;
+    }
+}
+
+/**
+ * Put a producer's pushes in node order: a stable counting sort by
+ * source index, so consecutive pushes interleave destination PEs —
+ * the annex-churn pattern of the Put version (§8).
+ */
+void
+sortPushes(std::vector<Push> &pushes, std::uint32_t nodes_per_pe)
+{
+    std::vector<std::uint32_t> next(nodes_per_pe + 1, 0);
+    for (const auto &push : pushes)
+        ++next[push.srcIdx + 1];
+    for (std::uint32_t i = 0; i < nodes_per_pe; ++i)
+        next[i + 1] += next[i];
+    std::vector<Push> sorted(pushes.size());
+    for (const auto &push : pushes)
+        sorted[next[push.srcIdx]++] = push;
+    pushes = std::move(sorted);
 }
 
 } // namespace
@@ -190,68 +230,63 @@ Graph::build(machine::Machine &machine, const Config &config)
     // ghost-node reuse substantial (each remote value is referenced
     // several times per step), while the multiple interleaved target
     // PEs expose the repeated annex set-up that separates the Get /
-    // Put / Bulk versions (§8).
-    std::vector<PeId> neighbors;
+    // Put / Bulk versions (§8). h_next counts the transposed edges
+    // per (owner PE, destination node) on the way.
+    std::vector<std::uint32_t> h_next(std::size_t{g.pes} * n, 0);
     Rng rng(config.seed);
     for (PeId pe = 0; pe < g.pes; ++pe) {
-        neighbors.clear();
-        for (int d : {-2, -1, 1, 2}) {
-            const PeId q = static_cast<PeId>(
-                (static_cast<int>(pe) + d + 2 * static_cast<int>(g.pes)) %
-                g.pes);
-            if (q != pe &&
-                std::find(neighbors.begin(), neighbors.end(), q) ==
-                    neighbors.end()) {
-                neighbors.push_back(q);
-            }
-        }
-        auto &side = g.perPe[pe].e;
+        const Neighbours nb = neighboursOf(pe, g.pes);
+        auto &edges = g.perPe[pe].e.edges;
+        edges.reserve(std::size_t{n} * config.degree);
         for (std::uint32_t i = 0; i < n; ++i) {
             for (std::uint32_t d = 0; d < config.degree; ++d) {
                 Edge edge;
                 edge.dstIdx = i;
-                const bool remote = !neighbors.empty() &&
-                    rng.nextBool(config.remoteFraction);
-                edge.srcPe = remote
-                    ? neighbors[rng.nextBounded(neighbors.size())]
-                    : pe;
+                const bool remote =
+                    nb.count != 0 && rng.nextBool(config.remoteFraction);
+                edge.srcPe = remote ? nb.pe[rng.nextBounded(nb.count)] : pe;
                 edge.srcIdx =
                     static_cast<std::uint32_t>(rng.nextBounded(n));
                 edge.weight = 0.01 + 0.98 * rng.nextDouble();
-                side.edges.push_back(edge);
+                edges.push_back(edge);
+                ++h_next[std::size_t{edge.srcPe} * n + edge.srcIdx];
             }
         }
     }
 
     // The H-update edge set is the transpose: if E(pe, i) depends on
-    // H(q, j) with weight w, then H(q, j) depends on E(pe, i).
+    // H(q, j) with weight w, then H(q, j) depends on E(pe, i). The
+    // compute loop accumulates per destination node, so each PE's
+    // H edges are grouped by destination node, in (source PE, E edge)
+    // order within a node: a counting scatter.
+    for (PeId q = 0; q < g.pes; ++q) {
+        std::uint32_t at = 0;
+        for (std::uint32_t j = 0; j < n; ++j) {
+            std::uint32_t &next = h_next[std::size_t{q} * n + j];
+            const std::uint32_t count = next;
+            next = at;
+            at += count;
+        }
+        g.perPe[q].h.edges.resize(at);
+    }
     for (PeId pe = 0; pe < g.pes; ++pe) {
         for (const auto &edge : g.perPe[pe].e.edges) {
-            Edge back;
-            back.dstIdx = edge.srcIdx;
-            back.srcPe = pe;
-            back.srcIdx = edge.dstIdx;
-            back.weight = edge.weight * 0.5;
-            g.perPe[edge.srcPe].h.edges.push_back(back);
+            const std::size_t key = std::size_t{edge.srcPe} * n + edge.srcIdx;
+            g.perPe[edge.srcPe].h.edges[h_next[key]++] =
+                Edge{edge.srcIdx, pe, edge.dstIdx, edge.weight * 0.5};
         }
     }
-    // Group the transposed edges by destination node for the
-    // accumulate-then-writeback compute loop.
-    for (PeId pe = 0; pe < g.pes; ++pe) {
-        auto &edges = g.perPe[pe].h.edges;
-        std::stable_sort(edges.begin(), edges.end(),
-                         [](const Edge &a, const Edge &b) {
-                             return a.dstIdx < b.dstIdx;
-                         });
-    }
 
+    SlotTable table;
+    table.rowOf.resize(g.pes);
     for (PeId pe = 0; pe < g.pes; ++pe) {
-        resolveSide(g.perPe[pe].e, pe, g.hValsBase, g.eGhostBase);
-        resolveSide(g.perPe[pe].h, pe, g.eValsBase, g.hGhostBase);
+        resolveSide(g, pe, /*e_side=*/true, table);
+        resolveSide(g, pe, /*e_side=*/false, table);
     }
-
-    buildProducerViews(g, /*e_side=*/true);
-    buildProducerViews(g, /*e_side=*/false);
+    for (auto &pp : g.perPe) {
+        sortPushes(pp.e.pushes, n);
+        sortPushes(pp.h.pushes, n);
+    }
 
     return g;
 }

@@ -90,13 +90,10 @@ stageOutgoing(Proc &p, const Graph::Side &side, Addr producer_base,
               Addr stage_base)
 {
     auto &core = p.node().core();
-    for (const auto &sg : side.stageGroups) {
-        Addr out = stage_base + sg.stageOffset;
-        for (std::uint32_t idx : sg.srcIdxs) {
-            core.storeU64(out,
-                          core.loadU64(producer_base + Addr{idx} * 8));
-            out += 8;
-        }
+    Addr out = stage_base;
+    for (std::uint32_t idx : side.stage) {
+        core.storeU64(out, core.loadU64(producer_base + Addr{idx} * 8));
+        out += 8;
     }
     core.mb(); // stage must be in memory before consumers pull
 }
@@ -111,7 +108,7 @@ fillGhostsBulk(Proc &p, const Graph::Side &side, Addr ghost_base,
                   GlobalAddr::make(group.srcPe,
                                    stage_base +
                                        group.producerStageOffset),
-                  group.srcIdxs.size() * 8);
+                  std::size_t{group.count} * 8);
     }
     p.sync();
 }

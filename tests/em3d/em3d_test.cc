@@ -5,12 +5,15 @@
  * us/edge all-local target, and the Figure 9 performance ordering.
  */
 
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "em3d/em3d.hh"
 #include "machine/machine.hh"
+#include "sim/hash.hh"
 
 namespace
 {
@@ -65,7 +68,7 @@ TEST(Em3dGraph, GhostSlotsAreGroupedByProducer)
         std::uint32_t expected_slot = 0;
         for (const auto &group : side.groups) {
             EXPECT_EQ(group.firstSlot, expected_slot);
-            expected_slot += group.srcIdxs.size();
+            expected_slot += group.count;
             EXPECT_NE(group.srcPe, pe);
         }
         EXPECT_EQ(expected_slot, side.ghostCount);
@@ -83,6 +86,133 @@ TEST(Em3dGraph, PushesMirrorFetches)
         pushes += g.perPe[pe].e.pushes.size();
     }
     EXPECT_EQ(fetches, pushes);
+}
+
+/**
+ * FNV-1a over every observable output of Graph::build: the five
+ * array bases, then per PE and side the edges, fetches, consumer
+ * groups, pushes, the producer's stage-order index sequence and the
+ * ghost count. Vector lengths are folded in ahead of their elements.
+ * A group enters by its size and the stage as one index sequence in
+ * stage order, so the value does not depend on how Side stores them.
+ */
+std::uint64_t
+structureFingerprint(const Graph &g)
+{
+    std::uint64_t h = hash::fnvOffset;
+    const auto fold = [&h](std::uint64_t v) { h = hash::fnv1aStep(h, v); };
+    for (Addr base : {g.eValsBase, g.hValsBase, g.eGhostBase,
+                      g.hGhostBase, g.stageBase})
+        fold(base);
+    for (const auto &pp : g.perPe) {
+        for (const Graph::Side *side : {&pp.e, &pp.h}) {
+            fold(side->edges.size());
+            for (const auto &edge : side->edges) {
+                fold(edge.dstIdx);
+                fold(edge.srcPe);
+                fold(edge.srcIdx);
+                fold(std::bit_cast<std::uint64_t>(edge.weight));
+                fold(edge.localValueAddr);
+            }
+            fold(side->fetches.size());
+            for (const auto &f : side->fetches) {
+                fold(f.srcPe);
+                fold(f.srcIdx);
+                fold(f.ghostSlot);
+            }
+            fold(side->groups.size());
+            for (const auto &group : side->groups) {
+                fold(group.srcPe);
+                fold(group.firstSlot);
+                fold(group.count);
+                fold(group.producerStageOffset);
+            }
+            fold(side->pushes.size());
+            for (const auto &push : side->pushes) {
+                fold(push.srcIdx);
+                fold(push.dstPe);
+                fold(push.ghostSlot);
+            }
+            fold(side->stage.size());
+            for (std::uint32_t idx : side->stage)
+                fold(idx);
+            fold(side->ghostCount);
+        }
+    }
+    return h;
+}
+
+TEST(Em3dGraph, StructureFingerprint)
+{
+    // Slot, fetch, push and stage order decide annex churn (§8), so
+    // the whole built structure is pinned, not just the checksums it
+    // leads to. One fingerprint per (shape, P) folds the fractions
+    // {0, 0.2, 1.0} and seeds {42, 7}.
+    struct Case
+    {
+        std::uint32_t nodesPerPe, degree, pes;
+        std::uint64_t fingerprint;
+    };
+    const Case cases[] = {
+        {500, 20, 1, 0xed560f216cdaf31dull},
+        {500, 20, 2, 0xb50cac70331ca3c5ull},
+        {500, 20, 3, 0xcf25c96c7514ad4dull},
+        {500, 20, 5, 0xa200b38c22c6d3b8ull},
+        {500, 20, 32, 0x946ec578ced55f73ull},
+        {1, 3, 1, 0xfc36ecbd2fd723cfull},
+        {1, 3, 2, 0x08cb73393ae3477dull},
+        {1, 3, 3, 0x68ef44cc7f084c1bull},
+        {1, 3, 5, 0xcd772a42a2e03dd7ull},
+        {1, 3, 32, 0xe8779d8b2f18924cull},
+    };
+    for (const Case &c : cases) {
+        std::uint64_t h = hash::fnvOffset;
+        for (double remote : {0.0, 0.2, 1.0}) {
+            for (std::uint64_t seed : {42u, 7u}) {
+                Config cfg;
+                cfg.nodesPerPe = c.nodesPerPe;
+                cfg.degree = c.degree;
+                cfg.remoteFraction = remote;
+                cfg.seed = seed;
+                machine::Machine m(machine::MachineConfig::t3d(c.pes));
+                const Graph g = Graph::build(m, cfg);
+                h = hash::fnv1aStep(h, structureFingerprint(g));
+            }
+        }
+        EXPECT_EQ(h, c.fingerprint)
+            << "shape (" << c.nodesPerPe << "," << c.degree << ") P="
+            << c.pes << std::hex << " got 0x" << h;
+    }
+}
+
+TEST(Em3dGraph, SmallMachinesDedupNeighbours)
+{
+    // Remote producers are the distinct processors among pe +/- 1 and
+    // pe +/- 2; on 1, 2, 3 and 5 PEs that set collapses to 0, 1, 2
+    // and 4 processors.
+    for (const auto &[pes, max_groups] :
+         {std::pair{1u, 0u}, {2u, 1u}, {3u, 2u}, {5u, 4u}}) {
+        machine::Machine m(machine::MachineConfig::t3d(pes));
+        Graph g = Graph::build(m, smallConfig(1.0));
+        for (PeId pe = 0; pe < pes; ++pe) {
+            const auto &pp = g.perPe[pe];
+            for (const Graph::Side *side : {&pp.e, &pp.h}) {
+                if (pes == 1) {
+                    EXPECT_TRUE(side->fetches.empty());
+                    EXPECT_TRUE(side->pushes.empty());
+                }
+                EXPECT_LE(side->groups.size(), max_groups)
+                    << "P=" << pes << " pe " << pe;
+                for (const auto &group : side->groups) {
+                    const PeId d = (group.srcPe + pes - pe) % pes;
+                    EXPECT_TRUE(d == 1 || d == 2 || d == pes - 1 ||
+                                d == pes - 2)
+                        << "P=" << pes << " pe " << pe << " producer "
+                        << group.srcPe;
+                }
+            }
+        }
+    }
 }
 
 TEST(Em3dGraph, DeterministicForSeed)
