@@ -44,10 +44,7 @@ class LocalNode : public alpha::DrainPort
     commitLine(Addr pa, const std::uint8_t *data,
                std::uint32_t byte_mask) override
     {
-        for (unsigned i = 0; i < alpha::wbLineBytes; ++i) {
-            if (byte_mask & (1u << i))
-                storage.writeU8(pa + i, data[i]);
-        }
+        storage.writeMasked(pa, data, byte_mask, alpha::wbLineBytes);
     }
 
     Clock clock;

@@ -4,9 +4,12 @@
  * deferred commit — the property behind the §3.4 synonym hazard.
  */
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "alpha/write_buffer.hh"
+#include "local_node.hh"
 #include "mem/dram.hh"
 #include "mem/storage.hh"
 #include "sim/types.hh"
@@ -41,10 +44,7 @@ class TestPort : public DrainPort
                std::uint32_t byte_mask) override
     {
         ++commits;
-        for (unsigned i = 0; i < alpha::wbLineBytes; ++i) {
-            if (byte_mask & (1u << i))
-                storage.writeU8(pa + i, data[i]);
-        }
+        storage.writeMasked(pa, data, byte_mask, alpha::wbLineBytes);
     }
 
     mem::Storage storage;
@@ -204,6 +204,43 @@ TEST_F(WbTest, MergedStreamCostsIssueOnly)
         now += wb.write(now, Addr(0x20000) + 8 * i, &v, 8);
     const double per_store = double(now - start) / n;
     EXPECT_LT(per_store, 4.0) << "merged writes cost ~issue only";
+}
+
+TEST_F(WbTest, CommitWritesOnlyMaskedBytes)
+{
+    // Three lines over a known pattern, stored through a whole core
+    // so storeU8 is the real read-modify-write: line 0x100 takes four
+    // merged U64 stores, line 0x120 one U32 at offset 28, and line
+    // 0x140 one storeU8 (a U64 store of the re-read quadword).
+    t3dsim::testing::LocalNode node;
+    constexpr Addr base = 0x100;
+    std::uint8_t expect[3 * alpha::wbLineBytes];
+    for (std::size_t i = 0; i < sizeof(expect); ++i)
+        expect[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    node.storage.writeBlock(base, expect, sizeof(expect));
+
+    for (unsigned k = 0; k < 4; ++k) {
+        const std::uint64_t v = 0x0101010101010101ull * (0xa0 + k);
+        node.core.storeU64(base + 8 * k, v);
+        std::memcpy(expect + 8 * k, &v, sizeof(v));
+    }
+    EXPECT_EQ(node.wb.merges(), 3u) << "four U64 stores, one entry";
+
+    const std::uint32_t w = 0xdeadbeef;
+    node.core.storeU32(base + 32 + 28, w);
+    std::memcpy(expect + 32 + 28, &w, sizeof(w));
+
+    node.core.storeU8(base + 64 + 13, 0x5a);
+    expect[64 + 13] = 0x5a;
+
+    node.core.mb();
+    EXPECT_EQ(node.wb.occupancy(node.clock.now()), 0u);
+    std::uint8_t got[sizeof(expect)];
+    node.storage.readBlock(base, got, sizeof(got));
+    for (std::size_t i = 0; i < sizeof(expect); ++i)
+        EXPECT_EQ(got[i], expect[i]) << "byte " << i;
+    EXPECT_EQ(node.storage.readU64(base - 8), 0u);
+    EXPECT_EQ(node.storage.readU64(base + sizeof(expect)), 0u);
 }
 
 } // namespace

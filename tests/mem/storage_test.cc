@@ -3,12 +3,14 @@
  * Unit tests for the sparse backing storage.
  */
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mem/storage.hh"
+#include "sim/hash.hh"
 #include "sim/logging.hh"
 
 namespace
@@ -179,6 +181,64 @@ TEST(Storage, PeekSpan)
     p = s.peekSpan(Storage::chunkBytes - 8, 4096, span);
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(span, 8u);
+}
+
+TEST(Storage, WriteMaskedMatchesBytewiseReference)
+{
+    // writeMasked against a shadow buffer updated by a plain byte
+    // loop: byte i of [addr, addr+len) takes data[i] iff bit i of
+    // the mask is set, and every other byte keeps its value. The
+    // smallest chunk size puts chunk boundaries within a line's reach.
+    constexpr unsigned shift = Storage::minChunkShift;
+    constexpr Addr chunk = Addr{1} << shift;
+    constexpr Addr span = 4 * chunk;
+    Storage s(span, shift);
+    std::vector<std::uint8_t> shadow(span);
+    std::uint64_t rng = 42;
+    for (Addr a = 0; a < span; a += 8) {
+        const std::uint64_t v = t3dsim::hash::splitMix64(rng);
+        s.writeU64(a, v);
+        std::memcpy(&shadow[a], &v, sizeof(v));
+    }
+
+    // Aligned, unaligned, and near a chunk end (crossing it once
+    // the length passes the distance to the boundary).
+    const Addr bases[] = {
+        chunk,          chunk + 8,      chunk + 32,     chunk + 1,
+        chunk + 5,      chunk + 27,     2 * chunk - 1,  2 * chunk - 4,
+        2 * chunk - 8,  2 * chunk - 13, 2 * chunk - 32, 2 * chunk - 63,
+    };
+    std::uint8_t data[64];
+    std::vector<std::uint8_t> got(span);
+    for (std::size_t len = 1; len <= 64; ++len) {
+        for (const Addr addr : bases) {
+            const std::uint64_t r1 = t3dsim::hash::splitMix64(rng);
+            const std::uint64_t r2 = t3dsim::hash::splitMix64(rng);
+            // All bits, none, random, sparse, dense: every mask has
+            // bits at and above len set, which must be ignored.
+            const std::uint64_t masks[] = {~std::uint64_t{0},
+                                           std::uint64_t{0}, r1,
+                                           r1 & r2, r1 | r2};
+            for (const std::uint64_t mask : masks) {
+                for (auto &b : data)
+                    b = static_cast<std::uint8_t>(
+                        t3dsim::hash::splitMix64(rng));
+                s.writeMasked(addr, data, mask, len);
+                for (std::size_t i = 0; i < len; ++i) {
+                    if (mask & (std::uint64_t{1} << i))
+                        shadow[addr + i] = data[i];
+                }
+                s.readBlock(0, got.data(), span);
+                const auto diff = std::mismatch(got.begin(), got.end(),
+                                                shadow.begin());
+                ASSERT_TRUE(diff.first == got.end())
+                    << "byte " << (diff.first - got.begin())
+                    << " differs after writeMasked(addr=" << addr
+                    << ", mask=0x" << std::hex << mask << std::dec
+                    << ", len=" << len << ")";
+            }
+        }
+    }
 }
 
 } // namespace
