@@ -9,6 +9,20 @@
 namespace t3dsim::alpha
 {
 
+namespace
+{
+
+/** Byte mask of [off, off+len) within a line; 64-bit so that
+ *  len == wbLineBytes is defined. */
+std::uint32_t
+lineMask(std::size_t off, std::size_t len)
+{
+    return static_cast<std::uint32_t>(((std::uint64_t{1} << len) - 1)
+                                      << off);
+}
+
+} // namespace
+
 WriteBuffer::WriteBuffer(const Config &config, DrainPort &port)
     : _config(config), _port(port)
 {
@@ -76,8 +90,7 @@ WriteBuffer::write(Cycles now, Addr pa, const void *src, std::size_t len,
         if (!slot.scheduled && slot.lineAddr == line &&
             slot.tag == tag) {
             std::memcpy(slot.data.data() + off, src, len);
-            for (std::size_t i = 0; i < len; ++i)
-                slot.mask |= 1u << (off + i);
+            slot.mask |= lineMask(off, len);
             ++_merges;
             T3D_COUNT(_ctr, wbMerges);
             return _config.issueCycles;
@@ -103,14 +116,8 @@ WriteBuffer::write(Cycles now, Addr pa, const void *src, std::size_t len,
     }
     _stallCycles += when - now;
 
-    Slot slot;
-    slot.lineAddr = line;
-    slot.tag = tag;
+    Slot &slot = _slots.emplace_back(line, tag, lineMask(off, len), when);
     std::memcpy(slot.data.data() + off, src, len);
-    for (std::size_t i = 0; i < len; ++i)
-        slot.mask |= 1u << (off + i);
-    slot.accept = when;
-    _slots.push_back(slot);
     const Cycles due = when + _config.holdoffCycles;
     _earliestDue = _unscheduled == 0 ? due : std::min(_earliestDue, due);
     ++_unscheduled;

@@ -22,6 +22,11 @@
  * The buffer is drain-target agnostic: a DrainPort (implemented by
  * the node) routes local lines to the DRAM controller and annexed
  * lines to the shell's remote-write path.
+ *
+ * Host cost: every simulated store passes through here, and a
+ * blocking write (store + MB) retires its line at once, so an entry
+ * is built in place in the ring, its byte mask is one shift, and
+ * the port commits it by 8-byte words (mem::Storage::writeMasked).
  */
 
 #ifndef T3DSIM_ALPHA_WRITE_BUFFER_HH
@@ -165,16 +170,18 @@ class WriteBuffer
     const Config &config() const { return _config; }
 
   private:
+    /** One entry; emplace_back(line, tag, mask, accept) fills the
+     *  leading fields in order (C++20 aggregate init). */
     struct Slot
     {
         Addr lineAddr = 0;
         std::uint32_t tag = 0;
-        std::array<std::uint8_t, wbLineBytes> data{};
         std::uint32_t mask = 0;
         Cycles accept = 0;
-        bool scheduled = false;
         Cycles completion = 0;
+        bool scheduled = false;
         bool deferCommit = false;
+        std::array<std::uint8_t, wbLineBytes> data{};
     };
 
     /** Issue (schedule) every unscheduled slot whose start <= now. */

@@ -238,12 +238,61 @@ Storage::writeBlock(Addr addr, const void *src, std::size_t len)
     }
 }
 
+namespace
+{
+
+/** Expand the 8 bits of @p bits to byte lanes: byte k of the result
+ *  is 0xff iff bit k is set. */
+constexpr std::uint64_t
+byteLanes(std::uint64_t bits)
+{
+    // Byte k of the product keeps only bit k of @p bits; adding 0x7f
+    // per byte carries into the byte's top bit iff that bit was set.
+    const std::uint64_t picked =
+        (bits * 0x0101010101010101ull) & 0x8040201008040201ull;
+    const std::uint64_t tops =
+        (picked + 0x7f7f7f7f7f7f7f7full) & 0x8080808080808080ull;
+    return (tops >> 7) * 0xff;
+}
+
+static_assert(byteLanes(0x00) == 0);
+static_assert(byteLanes(0xff) == ~std::uint64_t{0});
+static_assert(byteLanes(0x81) == 0xff000000000000ffull);
+static_assert(byteLanes(0x5a) == 0x00ff00ffff00ff00ull);
+
+} // namespace
+
 void
 Storage::writeMasked(Addr addr, const std::uint8_t *data,
                      std::uint64_t mask, std::size_t len)
 {
     checkRange(addr, len);
     T3D_ASSERT(len <= 64, "writeMasked mask covers at most 64 bytes");
+    if (len < 64)
+        mask &= (std::uint64_t{1} << len) - 1;
+    if (!mask)
+        return;
+    const std::size_t first = addr & _chunkMask;
+    if (((addr | len) & 7) == 0 && first + len <= _chunkSize) [[likely]] {
+        // Word path (every write-buffer line): one 8-byte blend per
+        // word that has any mask bit, none for a word that has none.
+        std::uint8_t *dst = chunkFor(addr) + first;
+        for (std::size_t w = 0; w < len; w += 8) {
+            const std::uint64_t bits = (mask >> w) & 0xff;
+            if (!bits)
+                continue;
+            std::uint64_t in;
+            std::memcpy(&in, data + w, sizeof(in));
+            if (bits != 0xff) {
+                const std::uint64_t lanes = byteLanes(bits);
+                std::uint64_t old;
+                std::memcpy(&old, dst + w, sizeof(old));
+                in = (old & ~lanes) | (in & lanes);
+            }
+            std::memcpy(dst + w, &in, sizeof(in));
+        }
+        return;
+    }
     std::size_t i = 0;
     while (i < len) {
         if (!(mask >> i)) // no set bits left
@@ -255,7 +304,7 @@ Storage::writeMasked(Addr addr, const std::uint8_t *data,
                        : ((std::uint64_t{1} << take) - 1) << i;
         std::uint8_t *base = chunkFor(addr + i) + off - i;
         if ((mask & span_mask) == span_mask) {
-            // Full span (the common case: a whole line commit).
+            // Full span: one copy.
             std::memcpy(base + i, data + i, take);
         } else {
             for (std::size_t b = i; b < i + take; ++b) {

@@ -104,8 +104,11 @@ class Storage
     /**
      * Apply the set bytes of @p mask from @p data to
      * [addr, addr+len): byte i is written iff bit i of @p mask is
-     * set. One chunk traversal for the whole line — the write-buffer
-     * commit / masked network-write fast path.
+     * set; bits at and above @p len are ignored. The write-buffer
+     * commit / masked network-write path: an 8-byte-aligned range
+     * within one chunk (every line) is committed by words — a fully
+     * set word is one copy, an empty one is skipped, a partial one
+     * is one masked blend. Other ranges take a per-chunk span loop.
      */
     void writeMasked(Addr addr, const std::uint8_t *data,
                      std::uint64_t mask, std::size_t len);

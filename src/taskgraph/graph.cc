@@ -64,7 +64,9 @@ uintField(const model::Json &obj, const std::string &key,
         return true;
     }
     const model::Json &v = obj[key];
-    if (!v.isNumber() || v.number() < 0 ||
+    // Range before the cast: casting a double at or past 2^64 (or a
+    // NaN) is undefined.
+    if (!v.isNumber() || !(v.number() >= 0 && v.number() < 0x1p64) ||
         v.number() != static_cast<double>(
                           static_cast<std::uint64_t>(v.number()))) {
         err = where + ": '" + key + "' must be a non-negative integer";
@@ -120,14 +122,17 @@ TaskGraph::parse(const model::Json &doc, TaskGraph &out, std::string &err)
             !uintField(t, "flops", where, 0, task.flops, err))
             return false;
         if (t.has("pe")) {
+            // Kept in 64 bits, so validate() reports a PE past the
+            // machine by its value; range before the cast, as above.
             const model::Json &pe = t["pe"];
             if (!pe.isNumber() ||
+                !(pe.number() >= -0x1p63 && pe.number() < 0x1p63) ||
                 pe.number() != static_cast<double>(
                                    static_cast<std::int64_t>(pe.number()))) {
                 err = where + ": 'pe' must be an integer";
                 return false;
             }
-            task.pe = static_cast<std::int32_t>(pe.number());
+            task.pe = static_cast<std::int64_t>(pe.number());
         }
         out.tasks.push_back(std::move(task));
     }
@@ -202,7 +207,7 @@ TaskGraph::validate(std::uint32_t pes, std::string &err)
     }
     for (std::size_t i = 0; i < tasks.size(); ++i) {
         const Task &t = tasks[i];
-        if (t.pe >= 0 && static_cast<std::uint32_t>(t.pe) >= pes) {
+        if (t.pe >= 0 && static_cast<std::uint64_t>(t.pe) >= pes) {
             err = "task " + std::to_string(i) + " ('" + t.id + "'): pe " +
                   std::to_string(t.pe) + " out of range for " +
                   std::to_string(pes) + " PEs";

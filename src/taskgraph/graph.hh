@@ -57,7 +57,7 @@ struct Task
     std::uint64_t cycles = 0;  ///< fixed compute cycles
     std::uint64_t flops = 0;   ///< floating-point ops (priced at
                                ///< LowerOptions::flopCycles each)
-    std::int32_t pe = -1;      ///< explicit placement; -1 = auto
+    std::int64_t pe = -1;      ///< explicit placement; negative = auto
 
     /** @name Derived by TaskGraph::validate */
     /// @{

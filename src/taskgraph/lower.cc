@@ -4,6 +4,8 @@
 #include <map>
 #include <tuple>
 
+#include "alpha/address.hh"
+
 namespace t3dsim::taskgraph
 {
 
@@ -79,16 +81,31 @@ Plan::build(const TaskGraph &graph, const LowerOptions &options, Plan &out,
     // scheduler flavor sees the same layout. Every span is rounded to
     // the 32-byte cache line: AM-handler deliveries write raw storage
     // (run.cc), so no two spans may share a line a consumer might
-    // already have cached.
+    // already have cached. A span that would end past the node
+    // segment every PE's storage is built with (alpha::segBytes) is
+    // refused here, in 64-bit arithmetic, before any Machine exists.
     std::vector<Addr> cursor(options.pes, kLayoutBase);
-    auto claim = [&cursor](PeId pe, std::uint64_t bytes) {
-        const Addr at = cursor[pe];
+    auto claim = [&cursor](PeId pe, std::uint64_t bytes, Addr &at) {
+        // Cursors stay line-aligned, so room is too, and a span that
+        // fits still fits once rounded up to the line.
+        if (bytes > alpha::segBytes - cursor[pe])
+            return false;
+        at = cursor[pe];
         cursor[pe] += (bytes + 31) & ~std::uint64_t{31};
-        return at;
+        return true;
+    };
+    auto segmentFull = [&err](const std::string &what, PeId pe) {
+        err = what + ": layout on pe " + std::to_string(pe) +
+              " ends past the " + std::to_string(alpha::segBytes) +
+              "-byte node segment";
+        return false;
     };
     out.taskResultAddr.resize(graph.tasks.size());
-    for (std::size_t t = 0; t < graph.tasks.size(); ++t)
-        out.taskResultAddr[t] = claim(out.placement[t], 8);
+    for (std::size_t t = 0; t < graph.tasks.size(); ++t) {
+        if (!claim(out.placement[t], 8, out.taskResultAddr[t]))
+            return segmentFull("task " + std::to_string(t),
+                               out.placement[t]);
+    }
 
     out.loweredEdges.resize(graph.edges.size());
     for (std::uint32_t ei = 0; ei < graph.edges.size(); ++ei) {
@@ -98,16 +115,22 @@ Plan::build(const TaskGraph &graph, const LowerOptions &options, Plan &out,
         le.srcPe = out.placement[e.src];
         le.dstPe = out.placement[e.dst];
         le.level = graph.tasks[e.src].level;
-        le.words = static_cast<std::uint32_t>((e.bytes + 7) / 8);
         le.mech = pickMechanism(e, le.srcPe, le.dstPe, options);
 
-        le.stagingAddr = claim(le.srcPe, std::uint64_t{le.words} * 8);
+        // Spans are claimed for e.bytes: rounding to the line also
+        // rounds to whole words.
+        if (!claim(le.srcPe, e.bytes, le.stagingAddr))
+            return segmentFull("edge " + std::to_string(ei), le.srcPe);
         if (le.mech != Mechanism::Local) {
-            le.bufAddr = claim(le.dstPe, std::uint64_t{le.words} * 8);
+            if (!claim(le.dstPe, e.bytes, le.bufAddr))
+                return segmentFull("edge " + std::to_string(ei),
+                                   le.dstPe);
         } else {
             // Same-PE edge: the consumer folds straight from staging.
             le.bufAddr = le.stagingAddr;
         }
+        // Fits in 32 bits: the span fit in the segment.
+        le.words = static_cast<std::uint32_t>((e.bytes + 7) / 8);
     }
 
     // Contention canonicalization guard (docs/STRESS.md): the

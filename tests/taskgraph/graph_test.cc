@@ -114,6 +114,19 @@ TEST(TaskGraphParse, RejectsNonIntegerWeights)
         std::string::npos);
 }
 
+TEST(TaskGraphParse, RejectsWeightsPast64Bits)
+{
+    EXPECT_NE(
+        parseError(R"({"tasks": [{"id": "a", "cycles": 1e30}]})")
+            .find("'cycles' must be a non-negative integer"),
+        std::string::npos);
+    EXPECT_NE(parseError(R"({"tasks": [{"id": "a"}, {"id": "b"}],
+        "edges": [{"src": "a", "dst": "b",
+                   "bytes": 18446744073709551616}]})")
+                  .find("edge 0: 'bytes' must be a non-negative integer"),
+              std::string::npos);
+}
+
 TEST(TaskGraphParse, RejectsDanglingEdgeEndpoints)
 {
     const char *missing = R"({"tasks": [{"id": "a"}],
@@ -138,6 +151,18 @@ TEST(TaskGraphValidate, RejectsOutOfRangePe)
 {
     const char *text = R"({"tasks": [{"id": "a", "pe": 9}]})";
     EXPECT_NE(validateError(text, 8).find("pe 9 out of range for 8 PEs"),
+              std::string::npos);
+}
+
+TEST(TaskGraphValidate, RejectsPePast32Bits)
+{
+    // Once wrapped to PE 0; now out of range by its own value.
+    const char *text = R"({"tasks": [{"id": "a", "pe": 4294967296}]})";
+    EXPECT_NE(validateError(text, 2).find(
+                  "pe 4294967296 out of range for 2 PEs"),
+              std::string::npos);
+    EXPECT_NE(parseError(R"({"tasks": [{"id": "a", "pe": 1e30}]})")
+                  .find("'pe' must be an integer"),
               std::string::npos);
 }
 
@@ -247,6 +272,37 @@ TEST(Lowering, RejectsMultipleAmSendersPerReceiverLevel)
     Plan plan;
     EXPECT_FALSE(Plan::build(g, opt, plan, err));
     EXPECT_NE(err.find("multiple sender PEs"), std::string::npos) << err;
+}
+
+TEST(Lowering, RejectsLayoutPastNodeSegment)
+{
+    // One task result line on each PE, then one edge: the largest
+    // edge that fits ends exactly at the 128 MiB segment.
+    constexpr std::uint64_t fits = (std::uint64_t{128} << 20) -
+                                   (std::uint64_t{1} << 20) - 32;
+    auto lower = [](std::uint64_t bytes, std::string &err) {
+        TaskGraph g = mustParse(
+            R"({"tasks": [{"id": "a", "pe": 0}, {"id": "b", "pe": 1}],
+                "edges": [{"src": "a", "dst": "b", "bytes": )" +
+            std::to_string(bytes) + "}]}");
+        LowerOptions opt;
+        opt.pes = 2;
+        EXPECT_TRUE(g.validate(opt.pes, err)) << err;
+        Plan plan;
+        return Plan::build(g, opt, plan, err);
+    };
+    std::string err;
+    EXPECT_TRUE(lower(fits, err)) << err;
+    for (const std::uint64_t bytes :
+         {fits + 1, std::uint64_t{200000000}, std::uint64_t{10000000000000},
+          std::uint64_t{18446744073709549568u}}) {
+        err.clear();
+        EXPECT_FALSE(lower(bytes, err)) << bytes;
+        EXPECT_NE(err.find("edge 0: layout on pe 0 ends past the "
+                           "134217728-byte node segment"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 TEST(Lowering, AlignsLayoutSpansToCacheLines)

@@ -242,6 +242,16 @@ TEST(JobService, RejectsMalformedRequests)
     service.submit("{\"mode\":\"simulate\",\"graph\":" +
                        std::string(200000, '['),
                    6);
+    // Payloads past the node segment: once a storage abort (2e8) and
+    // a hang on a size truncated to 32 bits (1e13).
+    std::uint64_t tag = 7;
+    for (const std::string bytes : {"200000000", "1e13"}) {
+        service.submit(R"({"mode":"simulate","pes":2,"graph":{"tasks":)"
+                       R"([{"id":"a","pe":0},{"id":"b","pe":1}],)"
+                       R"("edges":[{"src":"a","dst":"b","bytes":)" +
+                           bytes + "}]}}",
+                       tag++);
+    }
     service.drain();
 
     EXPECT_TRUE(contains(out.responses[1], "\"ok\":false"));
@@ -255,6 +265,13 @@ TEST(JobService, RejectsMalformedRequests)
     EXPECT_EQ(echoed["id"].str(), "q\"uote\nline");
     EXPECT_FALSE(echoed["ok"].boolean());
     EXPECT_TRUE(contains(out.responses[6], "nesting deeper than 256"));
-    EXPECT_EQ(service.stats().errors, 6u);
+    for (tag = 7; tag <= 8; ++tag) {
+        EXPECT_TRUE(contains(out.responses[tag], "\"ok\":false"));
+        EXPECT_TRUE(contains(out.responses[tag],
+                             "edge 0: layout on pe 0 ends past the "
+                             "134217728-byte node segment"))
+            << out.responses[tag];
+    }
+    EXPECT_EQ(service.stats().errors, 8u);
     EXPECT_EQ(service.stats().simulations, 0u);
 }
