@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -34,15 +35,13 @@
 #include <thread>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define T3D_SERVE_HAVE_SOCKETS 1
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 #include "model/primitives.hh"
+#include "sim/types.hh"
 #include "taskgraph/service.hh"
 
 #include "cli.hh"
@@ -82,6 +81,97 @@ parseArgs(int argc, char **argv)
     return opt;
 }
 
+/** The longest request line t3d-serve reads (docs/TASKGRAPH.md). */
+constexpr std::size_t kMaxLineBytes = 16 * MiB;
+
+const std::string kLineTooLong = "request line longer than " +
+                                 std::to_string(kMaxLineBytes) + " bytes";
+
+/**
+ * Splits what read(2) returns on one descriptor (stdin or a TCP
+ * connection) into request lines. Each byte is scanned once. A line
+ * past kMaxLineBytes is reported as soon as it crosses the cap, and
+ * its rest is dropped as it arrives instead of being buffered.
+ */
+class LineReader
+{
+  public:
+    enum class Got { Line, TooLong, End };
+
+    explicit LineReader(int fd) : _fd(fd) {}
+
+    /** The next line (without its '\n') into @p line. */
+    Got
+    next(std::string &line)
+    {
+        for (;;) {
+            if (_pos == _len) {
+                const ssize_t n = ::read(_fd, _chunk, sizeof _chunk);
+                if (n <= 0) {
+                    // A last line may end at end of input.
+                    if (_dropping || _line.empty())
+                        return Got::End;
+                    line = std::move(_line);
+                    _line.clear();
+                    return Got::Line;
+                }
+                _pos = 0;
+                _len = std::size_t(n);
+            }
+            const char *begin = _chunk + _pos;
+            const char *nl = static_cast<const char *>(
+                std::memchr(begin, '\n', _len - _pos));
+            const std::size_t take = nl ? nl - begin : _len - _pos;
+            _pos += take + (nl ? 1 : 0);
+            if (_dropping) {
+                _dropping = !nl;
+                continue;
+            }
+            if (take > kMaxLineBytes - _line.size()) {
+                _dropping = !nl;
+                _line = std::string();
+                return Got::TooLong;
+            }
+            _line.append(begin, take);
+            if (nl) {
+                line = std::move(_line);
+                _line.clear();
+                return Got::Line;
+            }
+        }
+    }
+
+  private:
+    int _fd;
+    char _chunk[64 * 1024];
+    std::size_t _pos = 0; ///< next unscanned byte of _chunk
+    std::size_t _len = 0; ///< bytes in _chunk
+    std::string _line;    ///< the line so far
+    bool _dropping = false; ///< skipping the rest of an over-long line
+};
+
+/** Submit every line @p fd delivers to @p service, tagged @p tag. */
+void
+serveLines(taskgraph::JobService &service, int fd, std::uint64_t tag)
+{
+    LineReader reader(fd);
+    std::string line;
+    for (;;) {
+        switch (reader.next(line)) {
+          case LineReader::Got::End:
+            return;
+          case LineReader::Got::TooLong:
+            service.reject(kLineTooLong, tag);
+            break;
+          case LineReader::Got::Line:
+            if (!line.empty())
+                service.submit(std::move(line), tag);
+            line.clear();
+            break;
+        }
+    }
+}
+
 /** Serializes response lines from worker threads onto stdout. */
 class StdoutSink
 {
@@ -99,37 +189,12 @@ class StdoutSink
     std::mutex _m;
 };
 
-#if T3D_SERVE_HAVE_SOCKETS
-
 /** Guards concurrent per-connection response writes. */
 struct SocketSink
 {
     std::mutex m;
     int fd = -1;
 };
-
-/** One TCP connection: read job lines, answer on the same socket.
- *  Tags route each response back here through the shared service. */
-void
-serveConnection(taskgraph::JobService &service, SocketSink &sink)
-{
-    std::string buf;
-    char chunk[4096];
-    for (;;) {
-        const ssize_t n = ::read(sink.fd, chunk, sizeof chunk);
-        if (n <= 0)
-            break;
-        buf.append(chunk, std::size_t(n));
-        std::size_t nl;
-        while ((nl = buf.find('\n')) != std::string::npos) {
-            std::string line = buf.substr(0, nl);
-            buf.erase(0, nl + 1);
-            if (!line.empty())
-                service.submit(std::move(line),
-                               reinterpret_cast<std::uint64_t>(&sink));
-        }
-    }
-}
 
 /** Accept loop: one thread per connection, answers routed by tag. */
 void
@@ -146,12 +211,13 @@ listenLoop(int listen_fd, taskgraph::JobService &service,
         sinks.push_back(std::make_unique<SocketSink>());
         SocketSink &sink = *sinks.back();
         sink.fd = fd;
-        conn_threads.emplace_back(
-            [&service, &sink] { serveConnection(service, sink); });
+        // Tags route each response back to this connection.
+        conn_threads.emplace_back([&service, &sink] {
+            serveLines(service, sink.fd,
+                       reinterpret_cast<std::uint64_t>(&sink));
+        });
     }
 }
-
-#endif // T3D_SERVE_HAVE_SOCKETS
 
 } // namespace
 
@@ -168,10 +234,18 @@ main(int argc, char **argv)
 
     if (opt.once) {
         std::string line;
-        if (!std::getline(std::cin, line)) {
+        switch (LineReader(STDIN_FILENO).next(line)) {
+          case LineReader::Got::End:
             std::cerr << "error: --once expects one job line on"
                          " stdin\n";
             return 2;
+          case LineReader::Got::TooLong:
+            std::cout << taskgraph::JobService::errorResponse(
+                             "?", kLineTooLong)
+                      << "\n";
+            return 0;
+          case LineReader::Got::Line:
+            break;
         }
         std::cout << taskgraph::JobService::runStandalone(
                          line, opt.service.model, opt.service.traceDir)
@@ -180,14 +254,11 @@ main(int argc, char **argv)
     }
 
     StdoutSink stdout_sink;
-#if T3D_SERVE_HAVE_SOCKETS
     std::vector<std::unique_ptr<SocketSink>> sinks;
     std::mutex conn_m;
-#endif
 
     taskgraph::JobService service(
         opt.service, [&](std::uint64_t tag, const std::string &line) {
-#if T3D_SERVE_HAVE_SOCKETS
             if (tag != 0) {
                 auto *sink = reinterpret_cast<SocketSink *>(tag);
                 std::lock_guard<std::mutex> lock(sink->m);
@@ -204,14 +275,12 @@ main(int argc, char **argv)
                 }
                 return;
             }
-#endif
             stdout_sink.write(line);
         });
 
     int listen_fd = -1;
     std::thread listener;
     std::vector<std::thread> conn_threads;
-#if T3D_SERVE_HAVE_SOCKETS
     if (opt.port > 0) {
         listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
         if (listen_fd < 0) {
@@ -240,23 +309,10 @@ main(int argc, char **argv)
                        conn_m);
         });
     }
-#else
-    if (opt.port > 0) {
-        std::cerr << "error: --port is not supported on this"
-                     " platform\n";
-        return 2;
-    }
-#endif
 
-    std::string line;
-    while (std::getline(std::cin, line)) {
-        if (!line.empty())
-            service.submit(std::move(line));
-        line.clear();
-    }
+    serveLines(service, STDIN_FILENO, 0);
     service.drain();
 
-#if T3D_SERVE_HAVE_SOCKETS
     if (listen_fd >= 0) {
         ::shutdown(listen_fd, SHUT_RDWR);
         ::close(listen_fd);
@@ -271,7 +327,6 @@ main(int argc, char **argv)
             t.join();
         service.drain();
     }
-#endif
 
     if (!opt.quiet) {
         const taskgraph::JobService::Stats s = service.stats();

@@ -43,22 +43,43 @@ Plan::build(const TaskGraph &graph, const LowerOptions &options, Plan &out,
     out.pes = options.pes;
     out.options = options;
 
+    // Task costs, bounded before anything adds them up: each one and
+    // their running sum stay within kMaxGraphCycles.
+    out.taskCycles.resize(graph.tasks.size());
+    std::uint64_t total = 0;
+    for (std::size_t t = 0; t < graph.tasks.size(); ++t) {
+        const Task &task = graph.tasks[t];
+        const std::uint64_t fc = options.flopCycles;
+        if (task.cycles > kMaxGraphCycles ||
+            (fc != 0 && task.flops > (kMaxGraphCycles - task.cycles) / fc)) {
+            err = "task " + std::to_string(t) + ": cost exceeds " +
+                  std::to_string(kMaxGraphCycles) + " cycles";
+            return false;
+        }
+        out.taskCycles[t] = task.cycles + task.flops * fc;
+        if (out.taskCycles[t] > kMaxGraphCycles - total) {
+            err = "task " + std::to_string(t) +
+                  ": total cost of tasks exceeds " +
+                  std::to_string(kMaxGraphCycles) + " cycles";
+            return false;
+        }
+        total += out.taskCycles[t];
+    }
+
     // Placement: pinned tasks first, then greedy least-loaded (by
-    // accumulated cycles + flop cycles) in task-index order with the
-    // lowest PE id breaking ties — fully deterministic.
+    // accumulated task cost) in task-index order with the lowest PE
+    // id breaking ties — fully deterministic.
     out.placement.resize(graph.tasks.size());
     std::vector<std::uint64_t> load(options.pes, 0);
     for (std::size_t t = 0; t < graph.tasks.size(); ++t) {
         const Task &task = graph.tasks[t];
         if (task.pe >= 0) {
             out.placement[t] = static_cast<PeId>(task.pe);
-            load[out.placement[t]] +=
-                task.cycles + task.flops * options.flopCycles;
+            load[out.placement[t]] += out.taskCycles[t];
         }
     }
     for (std::size_t t = 0; t < graph.tasks.size(); ++t) {
-        const Task &task = graph.tasks[t];
-        if (task.pe >= 0)
+        if (graph.tasks[t].pe >= 0)
             continue;
         PeId best = 0;
         for (PeId pe = 1; pe < options.pes; ++pe) {
@@ -66,7 +87,7 @@ Plan::build(const TaskGraph &graph, const LowerOptions &options, Plan &out,
                 best = pe;
         }
         out.placement[t] = best;
-        load[best] += task.cycles + task.flops * options.flopCycles;
+        load[best] += out.taskCycles[t];
     }
 
     std::uint32_t levels = 0;

@@ -27,6 +27,11 @@
 namespace t3dsim::taskgraph
 {
 
+/** The most cycles one task, or all tasks of a graph together, may
+ *  cost: far below 2^64, so neither the simulated clock nor the
+ *  predictor's sums can wrap. */
+constexpr std::uint64_t kMaxGraphCycles = std::uint64_t{1} << 62;
+
 /** Knobs for placement and mechanism selection. */
 struct LowerOptions
 {
@@ -86,14 +91,18 @@ struct Plan
     /** Per task: where its folded result word lands (on its PE). */
     std::vector<Addr> taskResultAddr;
 
+    /** Per task: its compute cost, cycles + flops x flopCycles. */
+    std::vector<std::uint64_t> taskCycles;
+
     /**
      * Build the plan: greedy deterministic placement of unpinned
      * tasks (least accumulated compute weight, lowest PE id wins
      * ties), mechanism choice by size for Auto edges, memory layout,
      * and the single-sender validation for Am/Message edges (at most
      * one sending PE per (receiver PE, level) and mechanism —
-     * docs/STRESS.md "Contention canonicalization"). The graph must
-     * already have passed validate(options.pes).
+     * docs/STRESS.md "Contention canonicalization"). A task cost, or
+     * a sum of all of them, past kMaxGraphCycles is an error. The
+     * graph must already have passed validate(options.pes).
      */
     static bool build(const TaskGraph &graph, const LowerOptions &options,
                       Plan &out, std::string &err);

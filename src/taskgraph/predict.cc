@@ -84,11 +84,7 @@ predictGraph(const TaskGraph &graph, const Plan &plan,
             LevelCost &c = costs[pe];
             const PeLevelWork &work = plan.work[pe][level];
             for (std::uint32_t t : work.tasks) {
-                const Task &task = graph.tasks[t];
-                c.add("compute",
-                      static_cast<double>(
-                          task.cycles +
-                          task.flops * plan.options.flopCycles));
+                c.add("compute", static_cast<double>(plan.taskCycles[t]));
                 c.add("fold", loadCycles(model, inWords[t]));
                 c.add("stage",
                       storeLineCycles(model, outWords[t] + 1));

@@ -73,7 +73,6 @@ runPe(Proc &p, const ProgramContext &ctx)
 
         // Phase A: fold inputs, compute, stage outputs.
         for (std::uint32_t t : work.tasks) {
-            const Task &task = graph.tasks[t];
             std::uint64_t acc = kFoldSeed ^ t;
             for (std::uint32_t ei : ctx.inEdges[t]) {
                 const LoweredEdge &le = plan.loweredEdges[ei];
@@ -83,8 +82,7 @@ runPe(Proc &p, const ProgramContext &ctx)
                         p.readU64(GlobalAddr::make(me,
                                                    le.bufAddr + Addr{w} * 8)));
             }
-            p.compute(task.cycles +
-                      task.flops * plan.options.flopCycles);
+            p.compute(plan.taskCycles[t]);
             const std::uint64_t result = mix64(acc);
             p.writeU64(GlobalAddr::make(me, plan.taskResultAddr[t]),
                        result);

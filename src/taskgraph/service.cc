@@ -156,16 +156,6 @@ executePayload(const Request &req, const model::CostModel &model,
 }
 
 std::string
-errorResponse(const std::string &id, const std::string &err)
-{
-    std::ostringstream os;
-    sim::JsonWriter w(os, sim::JsonWriter::Style::Compact);
-    w.beginObject().member("id", id).member("ok", false);
-    w.member("error", err).endObject();
-    return os.str();
-}
-
-std::string
 okResponse(const std::string &id, bool cache_hit,
            const std::string &payload)
 {
@@ -178,6 +168,16 @@ okResponse(const std::string &id, bool cache_hit,
 }
 
 } // namespace
+
+std::string
+JobService::errorResponse(const std::string &id, const std::string &err)
+{
+    std::ostringstream os;
+    sim::JsonWriter w(os, sim::JsonWriter::Style::Compact);
+    w.beginObject().member("id", id).member("ok", false);
+    w.member("error", err).endObject();
+    return os.str();
+}
 
 JobService::JobService(ServiceOptions options, ResponseFn on_response)
     : _options(std::move(options)), _onResponse(std::move(on_response))
@@ -208,6 +208,17 @@ JobService::submit(std::string line, std::uint64_t tag)
         ++_inFlight;
     }
     _wake.notify_one();
+}
+
+void
+JobService::reject(const std::string &err, std::uint64_t tag)
+{
+    {
+        std::lock_guard<std::mutex> lock(_m);
+        ++_stats.jobs;
+        ++_stats.errors;
+    }
+    _onResponse(tag, errorResponse("?", err));
 }
 
 void

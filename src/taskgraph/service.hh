@@ -67,6 +67,11 @@ class JobService
     /** Enqueue one request line (one JSON object). */
     void submit(std::string line, std::uint64_t tag = 0);
 
+    /** Answer a line that never reached the queue (t3d-serve's
+     *  over-long lines) with the typed error @p err, counted as a
+     *  rejected request. */
+    void reject(const std::string &err, std::uint64_t tag = 0);
+
     /** Block until every submitted job has been answered. */
     void drain();
 
@@ -88,6 +93,10 @@ class JobService
     static std::string runStandalone(const std::string &line,
                                      const model::CostModel &model,
                                      const std::string &trace_dir);
+
+    /** The `ok:false` response line for request @p id. */
+    static std::string errorResponse(const std::string &id,
+                                     const std::string &err);
 
   private:
     struct CacheEntry

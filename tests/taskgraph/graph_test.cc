@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "taskgraph/graph.hh"
 #include "taskgraph/lower.hh"
 
@@ -300,6 +302,53 @@ TEST(Lowering, RejectsLayoutPastNodeSegment)
         EXPECT_FALSE(lower(bytes, err)) << bytes;
         EXPECT_NE(err.find("edge 0: layout on pe 0 ends past the "
                            "134217728-byte node segment"),
+                  std::string::npos)
+            << err;
+    }
+}
+
+TEST(Lowering, RejectsTaskCostPastBound)
+{
+    // A chain a -> b of the given cycle counts (and flops on b).
+    auto lower = [](const std::string &a, const std::string &b,
+                    const std::string &flops, std::string &err) {
+        TaskGraph g = mustParse(
+            R"({"tasks": [{"id": "a", "cycles": )" + a +
+            R"(}, {"id": "b", "cycles": )" + b + R"(, "flops": )" + flops +
+            R"(}], "edges": [{"src": "a", "dst": "b"}]})");
+        EXPECT_TRUE(g.validate(2, err)) << err;
+        LowerOptions opt;
+        opt.pes = 2;
+        opt.flopCycles = 4;
+        Plan plan;
+        const bool ok = Plan::build(g, opt, plan, err);
+        if (ok) {
+            EXPECT_EQ(plan.taskCycles[0] + plan.taskCycles[1],
+                      kMaxGraphCycles);
+        }
+        return ok;
+    };
+    // Weights travel as doubles: near 2^61 they step by 256.
+    const std::string half = std::to_string(kMaxGraphCycles / 2);
+    std::string err;
+    EXPECT_TRUE(lower(half, std::to_string(kMaxGraphCycles / 2 - 256),
+                      "64", err))
+        << err;
+
+    // Each 1e19 fits 64 bits, their sum does not: it once wrapped the
+    // simulated clock. 1.8e19 + 1e18 predicted 0 cycles through an
+    // out-of-range cast.
+    for (const auto &[a, b, flops, what] :
+         {std::tuple{"1e19", "1e19", "0", "task 0: cost exceeds"},
+          std::tuple{"1.8e19", "1e18", "0", "task 0: cost exceeds"},
+          std::tuple{"0", "0", "18446744073709549568",
+                     "task 1: cost exceeds"},
+          std::tuple{half.c_str(), half.c_str(), "1",
+                     "task 1: total cost of tasks exceeds"}}) {
+        err.clear();
+        EXPECT_FALSE(lower(a, b, flops, err)) << a << " " << b;
+        EXPECT_NE(err.find(std::string(what) + " 4611686018427387904 "
+                           "cycles"),
                   std::string::npos)
             << err;
     }

@@ -252,6 +252,17 @@ TEST(JobService, RejectsMalformedRequests)
                            bytes + "}]}}",
                        tag++);
     }
+    // Task costs that wrapped the simulated clock (1e19 + 1e19) or
+    // cast a double past 2^64 to a predicted 0 cycles (1.8e19 + 1e18).
+    for (const std::string mode_costs :
+         {R"("simulate","graph":{"tasks":[{"id":"a","cycles":1e19},)"
+          R"({"id":"b","cycles":1e19}],)",
+          R"("predict","graph":{"tasks":[{"id":"a","cycles":1.8e19},)"
+          R"({"id":"b","cycles":1e18}],)"}) {
+        service.submit(R"({"mode":)" + mode_costs +
+                           R"("edges":[{"src":"a","dst":"b"}]}})",
+                       tag++);
+    }
     service.drain();
 
     EXPECT_TRUE(contains(out.responses[1], "\"ok\":false"));
@@ -272,6 +283,13 @@ TEST(JobService, RejectsMalformedRequests)
                              "134217728-byte node segment"))
             << out.responses[tag];
     }
-    EXPECT_EQ(service.stats().errors, 8u);
+    for (tag = 9; tag <= 10; ++tag) {
+        EXPECT_TRUE(contains(out.responses[tag], "\"ok\":false"));
+        EXPECT_TRUE(contains(out.responses[tag],
+                             "cost exceeds 4611686018427387904 cycles"))
+            << out.responses[tag];
+    }
+    EXPECT_EQ(service.stats().errors, 10u);
     EXPECT_EQ(service.stats().simulations, 0u);
+    EXPECT_EQ(service.stats().predictions, 0u);
 }
