@@ -234,8 +234,8 @@ class Scheduler
     };
 
     /**
-     * The claim-side account of PE @p pe: amDeposit bumps
-     * spillsClaimed through this at the ticket claim.
+     * The flow account of PE @p pe: amDeposit reads it at the ticket
+     * claim and bumps spillsClaimed through it.
      */
     AmFlowCounts &amFlow(PeId pe) { return _amFlow[pe]; }
 
@@ -244,9 +244,6 @@ class Scheduler
      * recovered from the overflow ring).
      */
     void amPublishDispatch(PeId pe, bool spilled);
-
-    /** The flow account of PE @p pe as visible to a deposit. */
-    AmFlowCounts amFlowVisible(PeId pe) const { return _amFlow[pe]; }
     /// @}
 
   private:

@@ -653,14 +653,13 @@ Proc::amDeposit(PeId dst, std::uint64_t tag,
     // recovers each spill at one modeled interrupt
     // (amOverflowDrainCycles) — an interrupt storm under sustained
     // flooding, not a process abort.
-    const auto flow = _sched.amFlowVisible(dst);
+    auto &flow = _sched.amFlow(dst);
     Addr base;
     const bool spill =
         ticket - flow.dispatched >= _config.amQueueSlots;
     if (spill) {
-        auto &claim = _sched.amFlow(dst);
         T3D_FATAL_IF(
-            claim.spillsClaimed - flow.spillsDrained >=
+            flow.spillsClaimed - flow.spillsDrained >=
                 _config.amOverflowSlots,
             "AM queue overflow on PE ", dst, ": ticket ", ticket,
             " found both the primary queue and the overflow ring "
@@ -673,9 +672,9 @@ Proc::amDeposit(PeId dst, std::uint64_t tag,
         // occupancy gate above proves this slot's previous occupant
         // (spill number spillsClaimed - amOverflowSlots) has been
         // drained and its flag cleared.
-        base = amOverflowSlotAddr(claim.spillsClaimed %
+        base = amOverflowSlotAddr(flow.spillsClaimed %
                                   _config.amOverflowSlots);
-        ++claim.spillsClaimed;
+        ++flow.spillsClaimed;
         ++_amOverflows;
         T3D_COUNT(_ctr, amOverflows);
     } else {
