@@ -27,6 +27,7 @@ Tlb::accessScan(std::uint64_t page)
         if (entry.valid && entry.page == page) {
             entry.lastUse = _useCounter;
             ++_hits;
+            _prevHit = _lastHit;
             _lastHit = static_cast<unsigned>(&entry - _entries.data());
             return 0;
         }
@@ -42,6 +43,7 @@ Tlb::accessScan(std::uint64_t page)
     victim->valid = true;
     victim->page = page;
     victim->lastUse = _useCounter;
+    _prevHit = _lastHit;
     _lastHit = static_cast<unsigned>(victim - _entries.data());
     return _config.missPenaltyCycles;
 }
@@ -62,7 +64,7 @@ Tlb::flush()
 {
     for (auto &entry : _entries)
         entry.valid = false;
-    _lastHit = ~0u;
+    _lastHit = _prevHit = ~0u;
 }
 
 } // namespace t3dsim::alpha

@@ -18,6 +18,7 @@
 #define T3DSIM_ALPHA_TLB_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "probes/counters.hh"
@@ -50,21 +51,21 @@ class Tlb
      *
      * Inline fast path: a repeat hit on the entry that satisfied the
      * previous access (the overwhelming case under the T3D's 4 MB
-     * pages) costs a compare and a counter bump; everything else
-     * falls through to the associative scan.
+     * pages) costs a compare and a counter bump. A hit on the entry
+     * before that (a local page and an annexed one in alternation,
+     * as under EM3D) costs a second compare; everything else falls
+     * through to the associative scan.
      */
     Cycles
     access(Addr va)
     {
         const std::uint64_t page = pageOf(va);
         ++_useCounter;
-        if (_lastHit < _entries.size()) {
-            Entry &entry = _entries[_lastHit];
-            if (entry.valid && entry.page == page) {
-                entry.lastUse = _useCounter;
-                ++_hits;
-                return 0;
-            }
+        if (hitAt(_lastHit, page))
+            return 0;
+        if (hitAt(_prevHit, page)) {
+            std::swap(_lastHit, _prevHit);
+            return 0;
         }
         return accessScan(page);
     }
@@ -97,6 +98,20 @@ class Tlb
         bool valid = false;
     };
 
+    /** Record a hit if entry @p idx holds @p page. */
+    bool
+    hitAt(unsigned idx, std::uint64_t page)
+    {
+        if (idx >= _entries.size())
+            return false;
+        Entry &entry = _entries[idx];
+        if (!entry.valid || entry.page != page)
+            return false;
+        entry.lastUse = _useCounter;
+        ++_hits;
+        return true;
+    }
+
     /** Scan path of access(): LRU lookup/replace for @p page. */
     Cycles accessScan(std::uint64_t page);
 
@@ -119,11 +134,13 @@ class Tlb
     /** log2(pageBytes) when it is a power of two, else 0. */
     unsigned _pageShift = 0;
 
-    /** Index of the entry that satisfied the last access: repeated
-     *  same-page accesses (the overwhelming pattern under 4 MB
-     *  pages) skip the associative scan. Guarded by a page/valid
-     *  re-check, so it is a pure host-side shortcut. */
+    /** Indices of the entries that satisfied the last access and
+     *  the one before it: repeated same-page accesses (the
+     *  overwhelming pattern under 4 MB pages) and local/annexed
+     *  alternation skip the associative scan. Guarded by a
+     *  page/valid re-check, so they are a pure host-side shortcut. */
     unsigned _lastHit = ~0u;
+    unsigned _prevHit = ~0u;
 
     probes::PerfCounters *_ctr = nullptr;
 
