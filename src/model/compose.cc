@@ -75,6 +75,12 @@ predict(const CostModel &model, const Signature &sig)
                 std::to_string(value) +
                 "/PE): limit path, linear composition unreliable");
         }
+        if (term->clamped && value > 0) {
+            pred.flags.push_back(
+                term->counter + " nonzero (" +
+                std::to_string(value) +
+                "/PE): fitted negative and clamped to 0, unpriced");
+        }
         if (term->beta == 0)
             continue;
         const double cycles = term->beta * value;

@@ -239,6 +239,7 @@ fitCostModel(const std::vector<Sweep> &sweeps, FitReport *report)
                              std::to_string(beta[j]) +
                              "), clamped to 0");
                         beta[j] = 0;
+                        t.clamped = true;
                     }
                     t.beta = beta[j];
                     t.fitted = true;
@@ -328,6 +329,7 @@ writeModelJson(std::ostream &os, const CostModel &model)
         w.beginObject().member("name", t.name).member("counter", t.counter);
         w.member("cycles_per_unit", t.beta).member("fitted", t.fitted);
         w.member("flag_on_nonzero", t.flagOnNonzero);
+        w.member("clamped", t.clamped);
         if (!t.sweeps.empty())
             w.member("sweeps", t.sweeps);
         if (!t.paper.empty())
@@ -386,6 +388,7 @@ readModelJson(const Json &doc, CostModel &model, std::string *error)
         t.beta = jt["cycles_per_unit"].number();
         t.fitted = jt["fitted"].boolean();
         t.flagOnNonzero = jt["flag_on_nonzero"].boolean();
+        t.clamped = jt["clamped"].boolean();
         t.sweeps = jt["sweeps"].str();
         t.paper = jt["paper"].str();
         t.note = jt["note"].str();

@@ -67,6 +67,13 @@ struct CostTerm
      */
     bool flagOnNonzero = false;
 
+    /**
+     * True when the sweep fit solved a negative beta and clamped it
+     * to 0: the counter is then unpriced, so the composer flags a
+     * prediction whenever it is nonzero.
+     */
+    bool clamped = false;
+
     /** Source sweep names, comma separated; empty when assumed. */
     std::string sweeps;
 

@@ -11,6 +11,7 @@
 
 #include <sstream>
 
+#include "model/compose.hh"
 #include "model/fit.hh"
 #include "model/measure.hh"
 #include "model/primitives.hh"
@@ -131,6 +132,49 @@ TEST(FitCostModel, GoldenRecoveryFromSyntheticSweeps)
     EXPECT_FALSE(rr->fitted);
 }
 
+/** A fit that solves a negative price clamps it to 0, marks the
+ *  term, survives the model file and flags a nonzero count. */
+TEST(FitCostModel, ClampedTermFlagsNonzeroCount)
+{
+    // Past the 100 priced L1 hits, each prefetch-queue stall "saves"
+    // 2 cycles: a negative slope.
+    const double hits = 100 * defaultCostModel().beta("l1Hits");
+    Sweep s;
+    s.primitive = "splitc_get_deep";
+    s.xUnit = "gets";
+    for (double stalls : {1.0, 2.0, 4.0}) {
+        s.points.push_back(
+            {stalls, hits - 2 * stalls,
+             {{"l1Hits", 100}, {"prefetchFullStalls", stalls}}});
+    }
+    FitReport report;
+    const CostModel fitted = fitCostModel({s}, &report);
+    const CostTerm *t = fitted.termForCounter("prefetchFullStalls");
+    ASSERT_NE(t, nullptr);
+    EXPECT_TRUE(t->fitted);
+    EXPECT_TRUE(t->clamped);
+    EXPECT_EQ(t->beta, 0.0);
+    EXPECT_FALSE(fitted.termForCounter("l1Hits")->clamped);
+
+    std::ostringstream os;
+    writeModelJson(os, fitted);
+    std::string error;
+    CostModel m;
+    ASSERT_TRUE(readModelJson(Json::parse(os.str(), &error), m, &error))
+        << error;
+    ASSERT_TRUE(m.termForCounter("prefetchFullStalls")->clamped);
+
+    Signature sig;
+    sig.setCounter("l1Hits", 10);
+    EXPECT_TRUE(predict(m, sig).flags.empty());
+    sig.setCounter("prefetchFullStalls", 2);
+    const Prediction pred = predict(m, sig);
+    EXPECT_DOUBLE_EQ(pred.cycles, 10 * m.beta("l1Hits"));
+    ASSERT_EQ(pred.flags.size(), 1u);
+    EXPECT_NE(pred.flags[0].find("prefetchFullStalls"), std::string::npos);
+    EXPECT_NE(pred.flags[0].find("clamped"), std::string::npos);
+}
+
 /** The real micro-sweeps must be explained by their own fit. */
 TEST(FitCostModel, RealSweepsFitWithinResidualBand)
 {
@@ -219,6 +263,7 @@ TEST(ModelJson, SweepAndModelRoundTrip)
         EXPECT_DOUBLE_EQ(mb.terms[i].beta, m.terms[i].beta);
         EXPECT_EQ(mb.terms[i].flagOnNonzero,
                   m.terms[i].flagOnNonzero);
+        EXPECT_EQ(mb.terms[i].clamped, m.terms[i].clamped);
     }
     EXPECT_EQ(mb.directCycleCounters, m.directCycleCounters);
     EXPECT_DOUBLE_EQ(mb.bltCrossoverBytes, m.bltCrossoverBytes);
