@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <limits>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -76,6 +78,16 @@ neighboursOf(PeId pe, std::uint32_t pes)
     return nb;
 }
 
+/** Rank of @p q among @p nb's processors in ascending PE order. */
+std::uint32_t
+rankOf(const Neighbours &nb, PeId q)
+{
+    std::uint32_t r = 0;
+    while (nb.ascending[r] != q)
+        ++r;
+    return r;
+}
+
 /** Accessor for the side (E or H) of a PerPe record. */
 Graph::Side &
 sideOf(Graph::PerPe &pp, bool e_side)
@@ -83,89 +95,80 @@ sideOf(Graph::PerPe &pp, bool e_side)
     return e_side ? pp.e : pp.h;
 }
 
-/** Slot-table entry of a remote value no edge references. */
+/** Entry of a remote value no edge references. */
 constexpr std::uint32_t unreferenced = ~std::uint32_t{0};
 
 /**
- * Scratch for resolveSide, reused across calls: the ghost slot of
- * value i of neighbour q is slots[rowOf[q] + i], where rowOf[q] is
- * q's rank among the side's neighbours (ascending PE) times
- * nodesPerPe. Entries of rowOf for non-neighbours are stale.
+ * One side's remote values per consumer PE, one entry each: value idx
+ * of the neighbour of rank r (ascending PE) of consumer c is entry
+ * (4c + r) * n + idx, as no PE has more than four neighbours. An entry
+ * starts as `unreferenced`, is marked while the edges are generated
+ * and then holds the value's ghost slot. A last row maps idx to
+ * itself, so that a local edge resolves through the same lookup as a
+ * remote one.
  */
-struct SlotTable
+class ValueTable
 {
-    std::vector<std::size_t> rowOf;
-    std::vector<std::uint32_t> slots;
+  public:
+    ValueTable(std::uint32_t pes, std::uint32_t n)
+        : _n(n), _entries(std::size_t{pes} * 4 * n + n, unreferenced)
+    {
+        std::iota(_entries.end() - n, _entries.end(), 0u);
+    }
+
+    std::size_t
+    row(PeId consumer, std::uint32_t rank) const
+    {
+        return (std::size_t{consumer} * 4 + rank) * _n;
+    }
+
+    std::size_t identityRow() const { return _entries.size() - _n; }
+
+    std::uint32_t &operator[](std::size_t at) { return _entries[at]; }
+
+  private:
+    std::uint32_t _n;
+    std::vector<std::uint32_t> _entries;
 };
 
 /**
- * Resolve one side of @p pe, whose edges are final:
- *
- * - ghost slots, grouped by producer in ascending PE order and by
- *   producer-local index within a group, so the Bulk version moves
- *   each producer's values as one contiguous block;
- * - on each producer, the stage entries and (unsorted) pushes for
- *   this consumer — called for consumers in ascending PE order, so
- *   each producer's stage lists its consumers in that order;
- * - the fetch list, in edge-discovery order (the order a
- *   compiler-built ghost list would fetch in: producers interleave,
- *   so Bundle/Get pay the annex set-up churn of §8);
- * - every edge's compute-phase local address.
+ * Give the remote values @p table marks for one side of @p pe their
+ * ghost slots: grouped by producer in ascending PE order and by
+ * producer-local index within a group, so the Bulk version moves each
+ * producer's values as one contiguous block. On each producer this
+ * appends the stage entries and (unsorted) pushes for this consumer;
+ * it is called for consumers in ascending PE order, so each
+ * producer's stage lists its consumers in that order. @p marks gets
+ * each slot's entry as it stood before it was replaced by the slot.
  */
 void
-resolveSide(Graph &g, PeId pe, bool e_side, SlotTable &table)
+assignSlots(Graph &g, PeId pe, bool e_side, ValueTable &table,
+            std::vector<std::uint32_t> &marks)
 {
     Graph::Side &side = sideOf(g.perPe[pe], e_side);
-    const Addr vals_base = e_side ? g.hValsBase : g.eValsBase;
-    const Addr ghost_base = e_side ? g.eGhostBase : g.hGhostBase;
     const std::uint32_t n = g.config.nodesPerPe;
     const Neighbours nb = neighboursOf(pe, g.pes);
-
-    for (std::uint32_t r = 0; r < nb.count; ++r)
-        table.rowOf[nb.ascending[r]] = std::size_t{r} * n;
-    const auto slot_of = [&](const Edge &edge) -> std::uint32_t & {
-        return table.slots[table.rowOf[edge.srcPe] + edge.srcIdx];
-    };
-
-    table.slots.assign(std::size_t{nb.count} * n, unreferenced);
-    for (const auto &edge : side.edges) {
-        if (edge.srcPe != pe)
-            slot_of(edge) = 0;
-    }
-
+    marks.clear();
     std::uint32_t slot = 0;
     for (std::uint32_t r = 0; r < nb.count; ++r) {
         const PeId q = nb.ascending[r];
         Graph::Side &prod = sideOf(g.perPe[q], e_side);
         const std::uint32_t first = slot;
         const Addr stage_offset = Addr{8} * prod.stage.size();
+        const std::size_t row = table.row(pe, r);
         for (std::uint32_t idx = 0; idx < n; ++idx) {
-            std::uint32_t &entry = table.slots[std::size_t{r} * n + idx];
+            std::uint32_t &entry = table[row + idx];
             if (entry == unreferenced)
                 continue;
+            marks.push_back(entry);
             entry = slot;
             prod.stage.push_back(idx);
             prod.pushes.push_back({idx, pe, slot});
+            side.slotIndex.push_back(idx);
             ++slot;
         }
         if (slot != first)
             side.groups.push_back({q, first, slot - first, stage_offset});
-    }
-    side.ghostCount = slot;
-
-    std::vector<bool> listed(side.ghostCount, false);
-    side.fetches.reserve(side.ghostCount);
-    for (auto &edge : side.edges) {
-        if (edge.srcPe == pe) {
-            edge.localValueAddr = vals_base + Addr{edge.srcIdx} * 8;
-            continue;
-        }
-        const std::uint32_t s = slot_of(edge);
-        if (!listed[s]) {
-            listed[s] = true;
-            side.fetches.push_back({edge.srcPe, edge.srcIdx, s});
-        }
-        edge.localValueAddr = ghost_base + Addr{s} * 8;
     }
 }
 
@@ -199,6 +202,11 @@ Graph::build(machine::Machine &machine, const Config &config)
     g.perPe.resize(g.pes);
 
     const std::uint32_t n = config.nodesPerPe;
+    // Edge offsets and slots are 32-bit, and a PE's H side takes its
+    // edges from at most five PEs.
+    T3D_ASSERT(std::uint64_t{n} * config.degree * 5 <=
+                   std::numeric_limits<std::uint32_t>::max(),
+               "EM3D graph too large for 32-bit edge offsets");
     const std::size_t vals_bytes = std::size_t{n} * 8;
     // A ghost/stage slot per distinct remote value; one per edge is
     // the worst case.
@@ -230,59 +238,126 @@ Graph::build(machine::Machine &machine, const Config &config)
     // ghost-node reuse substantial (each remote value is referenced
     // several times per step), while the multiple interleaved target
     // PEs expose the repeated annex set-up that separates the Get /
-    // Put / Bulk versions (§8). h_next counts the transposed edges
-    // per (owner PE, destination node) on the way.
-    std::vector<std::uint32_t> h_next(std::size_t{g.pes} * n, 0);
+    // Put / Bulk versions (§8).
+    //
+    // The H-update edge set is the transpose: if E(pe, i) depends on
+    // H(q, j) with weight w, then H(q, j) depends on E(pe, i). On the
+    // way the loop counts the H edges per destination node into the
+    // H sides' firstEdge and marks each side's remote values: an E
+    // value on its first reference, when it also joins the fetch
+    // list (fetches run in edge-discovery order, the order a
+    // compiler-built ghost list would fetch in: producers interleave,
+    // so Bundle/Get pay the annex set-up churn of §8), an H value
+    // with the first H node that will reference it.
+    ValueTable e_table(g.pes, n), h_table(g.pes, n);
+    // The table rows an edge of consumer pe with producer q resolves
+    // through: e_row[q] in pe's E table, h_row[q] (pe's values) in
+    // q's H table; the identity rows when q is pe.
+    std::vector<std::size_t> e_row(g.pes), h_row(g.pes);
+    const auto point_rows = [&](PeId pe) {
+        const Neighbours nb = neighboursOf(pe, g.pes);
+        for (std::uint32_t k = 0; k < nb.count; ++k) {
+            const PeId q = nb.pe[k];
+            e_row[q] = e_table.row(pe, rankOf(nb, q));
+            h_row[q] = h_table.row(q, rankOf(neighboursOf(q, g.pes), pe));
+        }
+        e_row[pe] = e_table.identityRow();
+        h_row[pe] = h_table.identityRow();
+        return nb;
+    };
+    for (auto &pp : g.perPe)
+        pp.h.firstEdge.assign(std::size_t{n} + 1, 0);
+    std::vector<std::uint32_t> marks;
+    const Rng::Bound nodes_bound(n);
     Rng rng(config.seed);
     for (PeId pe = 0; pe < g.pes; ++pe) {
-        const Neighbours nb = neighboursOf(pe, g.pes);
-        auto &edges = g.perPe[pe].e.edges;
-        edges.reserve(std::size_t{n} * config.degree);
+        const Neighbours nb = point_rows(pe);
+        const Rng::Bound nb_bound(std::max(nb.count, 1u)); // unused at 0
+        Side &side = g.perPe[pe].e;
+        side.edges.reserve(std::size_t{n} * config.degree);
+        side.firstEdge.resize(std::size_t{n} + 1);
         for (std::uint32_t i = 0; i < n; ++i) {
+            side.firstEdge[i] = i * config.degree;
             for (std::uint32_t d = 0; d < config.degree; ++d) {
-                Edge edge;
-                edge.dstIdx = i;
                 const bool remote =
                     nb.count != 0 && rng.nextBool(config.remoteFraction);
-                edge.srcPe = remote ? nb.pe[rng.nextBounded(nb.count)] : pe;
-                edge.srcIdx =
-                    static_cast<std::uint32_t>(rng.nextBounded(n));
-                edge.weight = 0.01 + 0.98 * rng.nextDouble();
-                edges.push_back(edge);
-                ++h_next[std::size_t{edge.srcPe} * n + edge.srcIdx];
+                const PeId q =
+                    remote ? nb.pe[rng.nextBounded(nb_bound)] : pe;
+                const auto j =
+                    static_cast<std::uint32_t>(rng.nextBounded(nodes_bound));
+                const double weight = 0.01 + 0.98 * rng.nextDouble();
+                side.edges.push_back({weight, q, j});
+                ++g.perPe[q].h.firstEdge[j + 1];
+                if (remote) {
+                    std::uint32_t &mark = e_table[e_row[q] + j];
+                    if (mark == unreferenced) {
+                        mark = 0;
+                        side.fetches.push_back({q, j, 0});
+                    }
+                    std::uint32_t &first_node = h_table[h_row[q] + i];
+                    first_node = std::min(first_node, j);
+                }
+            }
+        }
+        side.firstEdge[n] = n * config.degree;
+
+        assignSlots(g, pe, /*e_side=*/true, e_table, marks);
+        for (Fetch &f : side.fetches)
+            f.ghostSlot = e_table[e_row[f.srcPe] + f.srcIdx];
+    }
+
+    // The H sides' slots, and their fetch lists in edge-discovery
+    // order: H edges run by destination node and, within a node, by
+    // producer PE and producer-local index, so a stable counting sort
+    // of the slots (which run in that producer order) by first
+    // destination node lists them in order of first reference. Then
+    // the H sides' firstEdge become CSR offsets.
+    std::vector<std::uint32_t> next(std::size_t{n} + 1);
+    for (PeId q = 0; q < g.pes; ++q) {
+        Side &side = g.perPe[q].h;
+        assignSlots(g, q, /*e_side=*/false, h_table, marks);
+        std::fill(next.begin(), next.end(), 0);
+        for (std::uint32_t first_node : marks)
+            ++next[first_node + 1];
+        for (std::uint32_t j = 0; j < n; ++j)
+            next[j + 1] += next[j];
+        side.fetches.resize(marks.size());
+        for (const ProducerGroup &group : side.groups) {
+            for (std::uint32_t s = group.firstSlot;
+                 s < group.firstSlot + group.count; ++s)
+                side.fetches[next[marks[s]]++] = {group.srcPe,
+                                                  side.slotIndex[s], s};
+        }
+
+        for (std::uint32_t j = 0; j < n; ++j)
+            side.firstEdge[j + 1] += side.firstEdge[j];
+        side.edges.resize(side.firstEdge[n]);
+    }
+
+    // Scatter the H edges, in (source PE, E edge) order within a
+    // node, using the H firstEdge as cursors; and point each E edge
+    // at its value's ghost slot (a local one keeps its index).
+    for (PeId pe = 0; pe < g.pes; ++pe) {
+        point_rows(pe);
+        Side &side = g.perPe[pe].e;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            for (std::uint32_t k = side.firstEdge[i];
+                 k < side.firstEdge[i + 1]; ++k) {
+                Edge &edge = side.edges[k];
+                Side &h = g.perPe[edge.srcPe].h;
+                h.edges[h.firstEdge[edge.ref]++] = {
+                    edge.weight * 0.5, pe, h_table[h_row[edge.srcPe] + i]};
+                edge.ref = e_table[e_row[edge.srcPe] + edge.ref];
             }
         }
     }
-
-    // The H-update edge set is the transpose: if E(pe, i) depends on
-    // H(q, j) with weight w, then H(q, j) depends on E(pe, i). The
-    // compute loop accumulates per destination node, so each PE's
-    // H edges are grouped by destination node, in (source PE, E edge)
-    // order within a node: a counting scatter.
-    for (PeId q = 0; q < g.pes; ++q) {
-        std::uint32_t at = 0;
-        for (std::uint32_t j = 0; j < n; ++j) {
-            std::uint32_t &next = h_next[std::size_t{q} * n + j];
-            const std::uint32_t count = next;
-            next = at;
-            at += count;
-        }
-        g.perPe[q].h.edges.resize(at);
-    }
-    for (PeId pe = 0; pe < g.pes; ++pe) {
-        for (const auto &edge : g.perPe[pe].e.edges) {
-            const std::size_t key = std::size_t{edge.srcPe} * n + edge.srcIdx;
-            g.perPe[edge.srcPe].h.edges[h_next[key]++] =
-                Edge{edge.srcIdx, pe, edge.dstIdx, edge.weight * 0.5};
-        }
+    // Each cursor stopped at the next node's first edge.
+    for (auto &pp : g.perPe) {
+        auto &first = pp.h.firstEdge;
+        std::copy_backward(first.begin(), first.end() - 1, first.end());
+        first[0] = 0;
     }
 
-    SlotTable table;
-    table.rowOf.resize(g.pes);
-    for (PeId pe = 0; pe < g.pes; ++pe) {
-        resolveSide(g, pe, /*e_side=*/true, table);
-        resolveSide(g, pe, /*e_side=*/false, table);
-    }
     for (auto &pp : g.perPe) {
         sortPushes(pp.e.pushes, n);
         sortPushes(pp.h.pushes, n);

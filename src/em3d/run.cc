@@ -48,37 +48,36 @@ planFor(Version v, const Config &cfg)
  * (Bundle/Unroll: blocking reads; Get: pipelined gets).
  */
 void
-fillGhostsPull(Proc &p, const Graph::Side &side, Addr producer_base,
-               Addr ghost_base, bool pipelined)
+fillGhostsPull(Proc &p, const Graph::Side &side, const Graph::Arrays &a,
+               bool pipelined)
 {
     auto &core = p.node().core();
     if (!pipelined) {
         for (const auto &f : side.fetches) {
             const std::uint64_t v = p.readU64(GlobalAddr::make(
-                f.srcPe, producer_base + Addr{f.srcIdx} * 8));
-            core.storeU64(ghost_base + Addr{f.ghostSlot} * 8, v);
+                f.srcPe, a.producers + Addr{f.srcIdx} * 8));
+            core.storeU64(a.ghosts + Addr{f.ghostSlot} * 8, v);
         }
         return;
     }
     for (const auto &f : side.fetches) {
         p.getU64(GlobalAddr::make(f.srcPe,
-                                  producer_base + Addr{f.srcIdx} * 8),
-                 ghost_base + Addr{f.ghostSlot} * 8);
+                                  a.producers + Addr{f.srcIdx} * 8),
+                 a.ghosts + Addr{f.ghostSlot} * 8);
     }
     p.sync();
 }
 
 /** Producer-push fill (Put version). */
 void
-fillGhostsPush(Proc &p, const Graph::Side &side, Addr producer_base,
-               Addr ghost_base)
+fillGhostsPush(Proc &p, const Graph::Side &side, const Graph::Arrays &a)
 {
     auto &core = p.node().core();
     for (const auto &push : side.pushes) {
         const std::uint64_t v =
-            core.loadU64(producer_base + Addr{push.srcIdx} * 8);
+            core.loadU64(a.producers + Addr{push.srcIdx} * 8);
         p.putU64(GlobalAddr::make(push.dstPe,
-                                  ghost_base + Addr{push.ghostSlot} * 8),
+                                  a.ghosts + Addr{push.ghostSlot} * 8),
                  v);
     }
     p.sync();
@@ -114,37 +113,41 @@ fillGhostsBulk(Proc &p, const Graph::Side &side, Addr ghost_base,
 }
 
 /**
- * Compute phase: for every destination node, accumulate the weighted
- * sum of its dependencies and leapfrog-update the value. Edges are
- * grouped by destination; versions differ only in where the value
- * comes from (ghost/local vs. a possibly-remote blocking read) and
- * in the per-edge instruction overhead charged.
+ * Compute phase: for every destination node with in-edges, accumulate
+ * the weighted sum of its dependencies and leapfrog-update the value.
+ * Versions differ only in where the value comes from (ghost/local vs.
+ * a possibly-remote blocking read) and in the per-edge instruction
+ * overhead charged.
  */
 void
 computeSide(Proc &p, const Plan &plan, const Graph::Side &side,
-            Addr vals_base, Addr producer_base)
+            const Graph::Arrays &a)
 {
     auto &core = p.node().core();
-    std::size_t i = 0;
-    const std::size_t n_edges = side.edges.size();
-    while (i < n_edges) {
-        const std::uint32_t dst = side.edges[i].dstIdx;
+    const PeId pe = p.pe();
+    const std::uint32_t nodes =
+        static_cast<std::uint32_t>(side.firstEdge.size()) - 1;
+    for (std::uint32_t dst = 0; dst < nodes; ++dst) {
+        const std::uint32_t begin = side.firstEdge[dst];
+        const std::uint32_t end = side.firstEdge[dst + 1];
+        if (begin == end)
+            continue;
         double acc = 0;
-        while (i < n_edges && side.edges[i].dstIdx == dst) {
-            const Edge &edge = side.edges[i];
+        for (std::uint32_t k = begin; k < end; ++k) {
+            const Edge &edge = side.edges[k];
             double v;
             if (plan.useGhosts) {
                 v = std::bit_cast<double>(
-                    core.loadU64(edge.localValueAddr));
+                    core.loadU64(a.valueAddr(edge, pe)));
             } else {
                 v = p.readF64(GlobalAddr::make(
-                    edge.srcPe, producer_base + Addr{edge.srcIdx} * 8));
+                    edge.srcPe,
+                    a.producers + Addr{side.srcIdx(edge, pe)} * 8));
             }
             acc += edge.weight * v;
             p.compute(plan.computeCycles);
-            ++i;
         }
-        const Addr dst_addr = vals_base + Addr{dst} * 8;
+        const Addr dst_addr = a.vals + Addr{dst} * 8;
         const double old_val =
             std::bit_cast<double>(core.loadU64(dst_addr));
         core.storeU64(dst_addr,
@@ -176,57 +179,35 @@ run(const Config &config, Version version,
     auto program = [&](Proc &p) -> ProcTask {
         const Graph::PerPe &pp = g.perPe[p.pe()];
         for (int iter = 0; iter < config.iterations; ++iter) {
-            // ---- E update: consume H values ----
-            switch (plan.version) {
-              case Version::Simple:
-                break;
-              case Version::Bundle:
-              case Version::Unroll:
-                fillGhostsPull(p, pp.e, g.hValsBase, g.eGhostBase,
-                               false);
-                break;
-              case Version::Get:
-                fillGhostsPull(p, pp.e, g.hValsBase, g.eGhostBase,
-                               true);
-                break;
-              case Version::Put:
-                fillGhostsPush(p, pp.e, g.hValsBase, g.eGhostBase);
-                break;
-              case Version::Bulk:
-                stageOutgoing(p, pp.e, g.hValsBase, g.stageBase);
+            // E update (consumes H values), then H update (consumes
+            // E values).
+            for (int s = 0; s < 2; ++s) {
+                const bool e_side = s == 0;
+                const Graph::Side &side = e_side ? pp.e : pp.h;
+                const Graph::Arrays a = g.arrays(e_side);
+                switch (plan.version) {
+                  case Version::Simple:
+                    break;
+                  case Version::Bundle:
+                  case Version::Unroll:
+                    fillGhostsPull(p, side, a, false);
+                    break;
+                  case Version::Get:
+                    fillGhostsPull(p, side, a, true);
+                    break;
+                  case Version::Put:
+                    fillGhostsPush(p, side, a);
+                    break;
+                  case Version::Bulk:
+                    stageOutgoing(p, side, a.producers, g.stageBase);
+                    co_await p.barrier();
+                    fillGhostsBulk(p, side, a.ghosts, g.stageBase);
+                    break;
+                }
                 co_await p.barrier();
-                fillGhostsBulk(p, pp.e, g.eGhostBase, g.stageBase);
-                break;
-            }
-            co_await p.barrier();
-            computeSide(p, plan, pp.e, g.eValsBase, g.hValsBase);
-            co_await p.barrier();
-
-            // ---- H update: consume E values ----
-            switch (plan.version) {
-              case Version::Simple:
-                break;
-              case Version::Bundle:
-              case Version::Unroll:
-                fillGhostsPull(p, pp.h, g.eValsBase, g.hGhostBase,
-                               false);
-                break;
-              case Version::Get:
-                fillGhostsPull(p, pp.h, g.eValsBase, g.hGhostBase,
-                               true);
-                break;
-              case Version::Put:
-                fillGhostsPush(p, pp.h, g.eValsBase, g.hGhostBase);
-                break;
-              case Version::Bulk:
-                stageOutgoing(p, pp.h, g.eValsBase, g.stageBase);
+                computeSide(p, plan, side, a);
                 co_await p.barrier();
-                fillGhostsBulk(p, pp.h, g.hGhostBase, g.stageBase);
-                break;
             }
-            co_await p.barrier();
-            computeSide(p, plan, pp.h, g.hValsBase, g.eValsBase);
-            co_await p.barrier();
         }
         co_return;
     };

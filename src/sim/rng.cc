@@ -40,16 +40,27 @@ Rng::next()
     return result;
 }
 
+Rng::Bound::Bound(std::uint64_t bound)
+    : value(bound)
+{
+    T3D_ASSERT(bound > 0, "nextBounded needs a positive bound");
+    threshold = -bound % bound;
+}
+
 std::uint64_t
 Rng::nextBounded(std::uint64_t bound)
 {
-    T3D_ASSERT(bound > 0, "nextBounded needs a positive bound");
+    return nextBounded(Bound(bound));
+}
+
+std::uint64_t
+Rng::nextBounded(const Bound &bound)
+{
     // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = -bound % bound;
     for (;;) {
         std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
+        if (r >= bound.threshold)
+            return r % bound.value;
     }
 }
 

@@ -22,8 +22,21 @@ class Rng
     /** Uniform 64-bit value. */
     std::uint64_t next();
 
+    /** A nextBounded bound with its rejection threshold worked out
+     *  once, for loops that draw many values under one bound. */
+    struct Bound
+    {
+        explicit Bound(std::uint64_t bound);
+
+        std::uint64_t value;
+        std::uint64_t threshold;
+    };
+
     /** Uniform integer in [0, bound); bound must be > 0. */
     std::uint64_t nextBounded(std::uint64_t bound);
+
+    /** nextBounded(bound.value), drawing the same values. */
+    std::uint64_t nextBounded(const Bound &bound);
 
     /** Uniform double in [0, 1). */
     double nextDouble();
