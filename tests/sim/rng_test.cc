@@ -30,10 +30,16 @@ TEST(Rng, DifferentSeedsDiverge)
 
 TEST(Rng, BoundedStaysInRange)
 {
-    Rng r(7);
-    for (int i = 0; i < 1000; ++i) {
-        auto v = r.nextBounded(17);
-        EXPECT_LT(v, 17u);
+    // 2^63 + 1 rejects about half the raw draws; a precomputed Bound
+    // must draw the same values.
+    for (std::uint64_t bound : {17ull, (1ull << 63) + 1}) {
+        Rng r(7), s(7);
+        const Rng::Bound precomputed(bound);
+        for (int i = 0; i < 1000; ++i) {
+            auto v = r.nextBounded(bound);
+            EXPECT_LT(v, bound);
+            EXPECT_EQ(s.nextBounded(precomputed), v);
+        }
     }
 }
 
