@@ -21,8 +21,9 @@ namespace
 /** User AM tag (must be >= the runtime's reserved range). */
 constexpr std::uint64_t kAmTag = 20;
 
-/** Per-receiver-per-round caps that keep the corpus race-free and
- *  the simulated time bounded (docs/STRESS.md). */
+/** Per-receiver-per-round caps (docs/STRESS.md): the AM cap keeps
+ *  the plain corpus off the overflow ring, the message cap bounds
+ *  simulated time. */
 constexpr std::uint32_t kAmCapPerRound = 32;  // < amQueueSlots
 constexpr std::uint32_t kMsgCapPerRound = 3;  // 25 us interrupt each
 
@@ -81,17 +82,6 @@ accumulate(mem::Storage &storage, const Layout &lay, std::uint32_t cell,
 {
     const Addr a = lay.accumBase + Addr(cell) * 8;
     storage.writeU64(a, storage.readU64(a) * hash::fnvPrime ^ v);
-}
-
-/** Commutative accumulate, for values whose arrival order is
- *  timing-tied (two messages landing on the same cycle drain in
- *  delivery order, which the schedulers canonicalize differently). */
-void
-accumulateCommutative(mem::Storage &storage, const Layout &lay,
-                      std::uint32_t cell, std::uint64_t v)
-{
-    const Addr a = lay.accumBase + Addr(cell) * 8;
-    storage.writeU64(a, storage.readU64(a) + v * 0x9e3779b97f4a7c15ull);
 }
 
 } // namespace
@@ -164,28 +154,13 @@ Plan::build(const StressConfig &raw)
         round.msgsIn.assign(cfg.pes, 0);
         round.amsIn.assign(cfg.pes, 0);
 
-        // One AM sender and one message sender per receiver per
-        // round: AM tickets then follow the sender's program order,
-        // and message deliveries land consecutively in arrival order
-        // (the sender never suspends mid-round), so the receiver's
-        // dequeue order — and with it the interrupt-charge timing —
-        // is scheduler-invariant. See the header comment on
-        // contention canonicalization.
-        constexpr PeId kNoSender = ~PeId{0};
-        std::vector<PeId> am_sender(cfg.pes, kNoSender);
-        std::vector<PeId> msg_sender(cfg.pes, kNoSender);
-
-        // AM flood pair: chosen before the op draws so every normal
-        // AmDeposit draw targeting the flooded receiver collapses
-        // onto the same sender (single-sender canonicalization), and
-        // counted into amsIn up front so the kAmCapPerRound check
-        // bounds the combined total.
+        // AM flood pair: counted into amsIn before the op draws, so
+        // the kAmCapPerRound check bounds the combined total.
         if (cfg.amFloodDeposits > 0) {
             const PeId sender = PeId(rng.below(cfg.pes));
             PeId receiver = PeId(rng.below(cfg.pes - 1));
             if (receiver >= sender)
                 ++receiver;
-            am_sender[receiver] = sender;
             Op op;
             op.kind = OpKind::AmDeposit;
             op.target = receiver;
@@ -232,23 +207,14 @@ Plan::build(const StressConfig &raw)
                 } else if (draw < 86) {
                     op.kind = OpKind::FetchInc;
                 } else if (draw < 92) {
-                    // The swapped cell is private to this PE on the
-                    // target, so the returned chain is order-stable.
                     op.kind = OpKind::Swap;
-                    op.word = pe;
                 } else if (draw < 96 &&
-                           round.amsIn[op.target] < kAmCapPerRound &&
-                           (am_sender[op.target] == kNoSender ||
-                            am_sender[op.target] == pe)) {
+                           round.amsIn[op.target] < kAmCapPerRound) {
                     op.kind = OpKind::AmDeposit;
-                    am_sender[op.target] = pe;
                     ++round.amsIn[op.target];
                 } else if (draw < 98 &&
-                           round.msgsIn[op.target] < kMsgCapPerRound &&
-                           (msg_sender[op.target] == kNoSender ||
-                            msg_sender[op.target] == pe)) {
+                           round.msgsIn[op.target] < kMsgCapPerRound) {
                     op.kind = OpKind::SendMsg;
-                    msg_sender[op.target] = pe;
                     ++round.msgsIn[op.target];
                 } else if (draw < 99 && !blt_get_used) {
                     op.kind = OpKind::BltGet;
@@ -287,8 +253,6 @@ Plan::print(std::ostream &os) const
                 else if (op.kind == OpKind::RemoteRead ||
                          op.kind == OpKind::Get)
                     os << " word " << op.word;
-                else if (op.kind == OpKind::Swap)
-                    os << " cell " << op.word;
                 os << " value 0x" << std::hex << op.value << std::dec
                    << "\n";
             }
@@ -407,22 +371,14 @@ runPlan(machine::Machine &machine, const Plan &plan,
                             lay.constBase, kBigStripeBytes);
                         break;
                     case OpKind::FetchInc:
-                        // The returned count depends on how the
-                        // scheduler interleaved concurrent bumps —
-                        // deterministic per scheduler, but
-                        // canonicalized differently (header comment)
-                        // — so exercise the round trip without
-                        // folding the value.
-                        (void)p.fetchInc(op.target, 1);
-                        accumulate(storage, lay, 1, 1);
+                        accumulate(storage, lay, 1,
+                                   p.fetchInc(op.target, 1));
                         break;
                     case OpKind::Swap:
                         accumulate(
                             storage, lay, 2,
                             p.atomicSwap(
-                                GlobalAddr::make(
-                                    op.target,
-                                    lay.swapBase + Addr(op.word) * 8),
+                                GlobalAddr::make(op.target, lay.swapBase),
                                 op.value));
                         break;
                     case OpKind::AmDeposit:
@@ -447,7 +403,7 @@ runPlan(machine::Machine &machine, const Plan &plan,
                 for (std::uint32_t i = 0; i < round.msgsIn[me]; ++i) {
                     co_await p.waitMessage();
                     const auto msg = p.takeMessage(false);
-                    accumulateCommutative(
+                    accumulate(
                         storage, lay, 3,
                         msg.words[0] ^ msg.words[1] * 31 ^
                             msg.words[2] * 7 ^ msg.words[3]);
@@ -528,7 +484,7 @@ memoryChecksum(machine::Machine &machine, const Plan &plan)
              std::size_t{cfg.opsPerRound} * kScratchSlotBytes);
         fold(storage, lay.bltScratch, kBigStripeBytes);
         fold(storage, lay.accumBase, kAccumCells * 8);
-        fold(storage, lay.swapBase, std::size_t{cfg.pes} * 8);
+        fold(storage, lay.swapBase, 8);
     }
     return h;
 }

@@ -27,30 +27,13 @@
  *    overflow ring; flood seeds (StressConfig::amFloodDeposits with a
  *    shrunken amQueueSlots override) deliberately overrun it, which
  *    is still deterministic because spill routing is a pure function
- *    of the receiver's flow account at the serialized ticket claim
- *    and each flooded receiver keeps a single sender.
+ *    of the receiver's flow account at the ticket claim.
  *
- * Race-free does not mean contention-free. The scheduler
- * interleaves PEs in run-to-suspension order; another equally valid
- * canonicalization (e.g. serializing concurrent atomics in
- * (clock, src) order) would produce identical timing but different
- * interleaving-dependent values. The generator therefore only folds
- * values that are independent of that choice into the checksum: each
- * round has a single AM sender per receiver (ticket order = program
- * order), swap cells are private to their swapping PE, message
- * payloads fold commutatively (same-cycle arrivals tie-break by
- * delivery order), and contended fetch&inc return values are
- * exercised for timing but not folded.
- *
- * Hardware messages additionally have a single sender per receiver
- * per round. With multiple senders, interleaving can deliver a
- * late-arrival message before an early one; a receiver woken at that
- * moment dequeues the late message first and is charged
- * max(now, arrival) + interrupt for it, shifting its clock by a full
- * interrupt relative to the arrival-order dequeue — a timing (not
- * just value) divergence. One sender emits all its messages in one
- * run-to-suspension stretch, so deliveries land consecutively in
- * arrival order.
+ * Race-free is not contention-free: any number of PEs may deposit
+ * AMs, send messages, bump fetch&inc registers or swap one cell on
+ * the same receiver in a round. The one scheduler's order defines
+ * the answer under that contention, so every returned value and
+ * arrival order is folded into the checksum in order.
  */
 
 #ifndef T3DSIM_STRESS_GENERATOR_HH
@@ -80,10 +63,10 @@ struct StressConfig
      * round issues this many additional back-to-back deposits in one
      * run-to-suspension stretch, deliberately overrunning the
      * primary queue so the differential matrix exercises the
-     * deterministic overflow-ring reroute under every scheduler
-     * (0 = off). Pair with a shrunken amQueueSlots override; the
-     * receiver still drains everything before the round barrier, so
-     * the program stays race-free and matched-wait.
+     * deterministic overflow-ring reroute (0 = off). Pair with a
+     * shrunken amQueueSlots override; the receiver still drains
+     * everything before the round barrier, so the program stays
+     * race-free and matched-wait.
      */
     std::uint32_t amFloodDeposits = 0;
 
@@ -119,7 +102,7 @@ struct Op
 {
     OpKind kind;
     PeId target = 0;         ///< remote PE (never self)
-    std::uint32_t word = 0;  ///< read index / swap cell
+    std::uint32_t word = 0;  ///< read index
     std::uint32_t len = 0;   ///< prefetch length in words
     std::uint32_t slot = 0;  ///< write slot (== op index; writer-unique)
     std::uint64_t value = 0; ///< payload / compute cycles
@@ -159,13 +142,13 @@ constexpr Addr kBltScratch = 0x148000;
 constexpr Addr kAccumBase = 0x150000;
 constexpr std::uint32_t kAccumCells = 5;
 
-/** Shared atomic-swap cells, one per PE id. */
+/** The atomic-swap cell every swapper of this PE chains through. */
 constexpr Addr kSwapBase = 0x151000;
 /// @}
 
 /**
  * Resolved region bases for one plan. Region sizes grow with the PE
- * count (data banks, BLT stripes and swap cells are per-PE), so at
+ * count (data banks and BLT stripes are per-PE), so at
  * large P the fixed bases above would overlap. Each base resolves to
  * max(fixed constant, 4 KiB-aligned end of the previous region):
  * at the historical config ceiling (pes <= 32) every base equals its
@@ -212,7 +195,7 @@ std::vector<Cycles> runPlan(machine::Machine &machine, const Plan &plan,
 /**
  * FNV-1a over every generator-owned region of every PE, in PE
  * order: data banks, BLT landing stripes, scratch, accumulators and
- * swap cells. Absent storage chunks fold as runs of zeros without
+ * the swap cell. Absent storage chunks fold as runs of zeros without
  * being materialized.
  */
 std::uint64_t memoryChecksum(machine::Machine &machine, const Plan &plan);

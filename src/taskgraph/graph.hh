@@ -34,7 +34,7 @@ namespace t3dsim::taskgraph
  * How one edge's payload moves between PEs. `Auto` defers the choice
  * to the lowering layer's size thresholds (docs/TASKGRAPH.md
  * "Lowering rules"); the rest force a primitive, subject to
- * validation (payload caps for Am/Message, the single-sender rule).
+ * validation (payload caps for Am/Message, the AM queue capacity).
  */
 enum class Mechanism : std::uint8_t
 {

@@ -1,10 +1,9 @@
 #include "taskgraph/lower.hh"
 
 #include <algorithm>
-#include <map>
-#include <tuple>
 
 #include "alpha/address.hh"
+#include "splitc/config.hh"
 
 namespace t3dsim::taskgraph
 {
@@ -98,13 +97,13 @@ Plan::build(const TaskGraph &graph, const LowerOptions &options, Plan &out,
     // Mechanism choice + memory layout. Each PE's region is a bump
     // cursor: one result word per task it owns, one staging span per
     // out-edge it produces, one buffer span per cross-PE in-edge it
-    // consumes. Addresses depend only on (graph, options), so every
-    // scheduler flavor sees the same layout. Every span is rounded to
-    // the 32-byte cache line: AM-handler deliveries write raw storage
-    // (run.cc), so no two spans may share a line a consumer might
-    // already have cached. A span that would end past the node
-    // segment every PE's storage is built with (alpha::segBytes) is
-    // refused here, in 64-bit arithmetic, before any Machine exists.
+    // consumes. Addresses depend only on (graph, options). Every span
+    // is rounded to the 32-byte cache line: AM-handler deliveries
+    // write raw storage (run.cc), so no two spans may share a line a
+    // consumer might already have cached. A span that would end past
+    // the node segment every PE's storage is built with
+    // (alpha::segBytes) is refused here, in 64-bit arithmetic, before
+    // any Machine exists.
     std::vector<Addr> cursor(options.pes, kLayoutBase);
     auto claim = [&cursor](PeId pe, std::uint64_t bytes, Addr &at) {
         // Cursors stay line-aligned, so room is too, and a span that
@@ -154,32 +153,10 @@ Plan::build(const TaskGraph &graph, const LowerOptions &options, Plan &out,
         le.words = static_cast<std::uint32_t>((e.bytes + 7) / 8);
     }
 
-    // Contention canonicalization guard (docs/STRESS.md): the
-    // schedulers only agree on AM ticket order and hardware-message
-    // timing when each receiver has a single sender per superstep, so
-    // reject plans that would put two sending PEs behind one
-    // receiver's queue in the same level.
-    std::map<std::tuple<std::uint32_t, PeId, int>, PeId> senders;
-    for (const LoweredEdge &le : out.loweredEdges) {
-        if (le.mech != Mechanism::Am && le.mech != Mechanism::Message)
-            continue;
-        const int kind = le.mech == Mechanism::Am ? 0 : 1;
-        auto [it, inserted] = senders.emplace(
-            std::make_tuple(le.level, le.dstPe, kind), le.srcPe);
-        if (!inserted && it->second != le.srcPe) {
-            err = "edge " + std::to_string(le.edge) + ": " +
-                  mechanismName(le.mech) + " edges into pe " +
-                  std::to_string(le.dstPe) + " at level " +
-                  std::to_string(le.level) +
-                  " have multiple sender PEs (" +
-                  std::to_string(it->second) + " and " +
-                  std::to_string(le.srcPe) +
-                  "); one sender per receiver per level";
-            return false;
-        }
-    }
-
     // Work lists.
+    const splitc::SplitcConfig splitc_defaults;
+    const std::uint32_t amSlots =
+        splitc_defaults.amQueueSlots + splitc_defaults.amOverflowSlots;
     out.work.assign(options.pes,
                     std::vector<PeLevelWork>(std::max(levels, 1u)));
     for (std::uint32_t t = 0; t < graph.tasks.size(); ++t)
@@ -195,7 +172,16 @@ Plan::build(const TaskGraph &graph, const LowerOptions &options, Plan &out,
             break;
           case Mechanism::Am:
             out.work[le.srcPe][le.level].push.push_back(ei);
-            ++out.work[le.dstPe][le.level].expectAms;
+            // A receiver drains only after its own exchange phase, so
+            // every deposit of a level can be undispatched at once.
+            if (++out.work[le.dstPe][le.level].expectAms > amSlots) {
+                err = "edge " + std::to_string(le.edge) +
+                      ": am edges into pe " + std::to_string(le.dstPe) +
+                      " at level " + std::to_string(le.level) +
+                      " exceed the " + std::to_string(amSlots) +
+                      "-slot AM queue and overflow ring";
+                return false;
+            }
             break;
           case Mechanism::Message:
             out.work[le.srcPe][le.level].push.push_back(ei);

@@ -5,13 +5,11 @@
  * level-synchronized schedule the runtime (run.cc) and the analytic
  * predictor (predict.cc) both consume.
  *
- * The schedule is BSP-style on purpose: each topological level is a
- * superstep (compute phase, barrier, exchange phase, all_store_sync).
- * docs/STRESS.md documents why multi-sender AM/message contention
- * makes results depend on how the scheduler canonicalizes concurrent
- * arrivals; level barriers use exactly the app-suite idioms that the
- * determinism tests already pin, so a task-graph run's results do
- * not depend on that choice.
+ * Each topological level is a superstep (compute phase, barrier,
+ * exchange phase, all_store_sync). Any number of PEs may send into
+ * one receiver in a level; under that contention the one scheduler's
+ * order defines the answer, so a result is a function of (graph,
+ * machine, mode) alone.
  */
 
 #ifndef T3DSIM_TASKGRAPH_LOWER_HH
@@ -97,12 +95,12 @@ struct Plan
     /**
      * Build the plan: greedy deterministic placement of unpinned
      * tasks (least accumulated compute weight, lowest PE id wins
-     * ties), mechanism choice by size for Auto edges, memory layout,
-     * and the single-sender validation for Am/Message edges (at most
-     * one sending PE per (receiver PE, level) and mechanism —
-     * docs/STRESS.md "Contention canonicalization"). A task cost, or
-     * a sum of all of them, past kMaxGraphCycles is an error. The
-     * graph must already have passed validate(options.pes).
+     * ties), mechanism choice by size for Auto edges, and memory
+     * layout. A task cost, or a sum of all of them, past
+     * kMaxGraphCycles is an error, and so is a (receiver PE, level)
+     * with more Am edges than a default SplitcConfig's primary AM
+     * queue plus overflow ring hold. The graph must already have
+     * passed validate(options.pes).
      */
     static bool build(const TaskGraph &graph, const LowerOptions &options,
                       Plan &out, std::string &err);

@@ -42,16 +42,15 @@ payloadWord(std::uint64_t producer_result, std::uint32_t edge,
 
 struct ProgramContext
 {
-    const TaskGraph *graph;
     const Plan *plan;
-    /** Task index -> in-edge indices, in edge order. */
+    /** Task index -> in-edge / out-edge indices, in edge order. */
     std::vector<std::vector<std::uint32_t>> inEdges;
+    std::vector<std::vector<std::uint32_t>> outEdges;
 };
 
 ProcTask
 runPe(Proc &p, const ProgramContext &ctx)
 {
-    const TaskGraph &graph = *ctx.graph;
     const Plan &plan = *ctx.plan;
     const PeId me = p.pe();
 
@@ -86,11 +85,8 @@ runPe(Proc &p, const ProgramContext &ctx)
             const std::uint64_t result = mix64(acc);
             p.writeU64(GlobalAddr::make(me, plan.taskResultAddr[t]),
                        result);
-            for (std::uint32_t ei = 0; ei < plan.loweredEdges.size();
-                 ++ei) {
+            for (std::uint32_t ei : ctx.outEdges[t]) {
                 const LoweredEdge &le = plan.loweredEdges[ei];
-                if (graph.edges[ei].src != t)
-                    continue;
                 for (std::uint32_t w = 0; w < le.words; ++w)
                     p.writeU64(
                         GlobalAddr::make(me, le.stagingAddr + Addr{w} * 8),
@@ -195,11 +191,13 @@ simulate(const TaskGraph &graph, const Plan &plan,
     machine::Machine machine(mconfig);
 
     ProgramContext ctx;
-    ctx.graph = &graph;
     ctx.plan = &plan;
     ctx.inEdges.resize(graph.tasks.size());
-    for (std::uint32_t ei = 0; ei < graph.edges.size(); ++ei)
+    ctx.outEdges.resize(graph.tasks.size());
+    for (std::uint32_t ei = 0; ei < graph.edges.size(); ++ei) {
         ctx.inEdges[graph.edges[ei].dst].push_back(ei);
+        ctx.outEdges[graph.edges[ei].src].push_back(ei);
+    }
 
     const std::vector<Cycles> finish = splitc::runSpmd(
         machine, [&ctx](Proc &p) { return runPe(p, ctx); });

@@ -2,12 +2,13 @@
  * @file
  * Task-graph ingestion: schema errors are rejected with typed
  * diagnostics, topological levels and content hashes are stable, and
- * lowering enforces the single-sender contract for Am/Message edges.
+ * lowering bounds a receiver's Am edges per level by the AM queue.
  */
 
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
 
 #include "taskgraph/graph.hh"
 #include "taskgraph/lower.hh"
@@ -260,20 +261,47 @@ TEST(Lowering, HonorsPinsAndBalancesRest)
     EXPECT_EQ(plan.placement[2], 1u);
 }
 
-TEST(Lowering, RejectsMultipleAmSendersPerReceiverLevel)
+TEST(Lowering, RejectsAmFanInPastQueueCapacity)
 {
-    const char *text = R"({"tasks": [
-        {"id": "a", "pe": 0}, {"id": "b", "pe": 1}, {"id": "c", "pe": 2}],
-        "edges": [{"src": "a", "dst": "c", "bytes": 8, "mech": "am"},
-                  {"src": "b", "dst": "c", "bytes": 8, "mech": "am"}]})";
-    TaskGraph g = mustParse(text);
+    // PEs 1..senders each run `per_sender` tasks with one am edge
+    // into task r on PE 0. All of a level's deposits can be
+    // undispatched at once, so 256 primary slots + 1024 overflow
+    // slots bound a receiver's am edges per level.
+    auto lower = [](int senders, int per_sender, std::string &err) {
+        std::string tasks = R"({"id": "r", "pe": 0})";
+        std::string edges;
+        for (int pe = 1; pe <= senders; ++pe) {
+            for (int k = 0; k < per_sender; ++k) {
+                const std::string id = "\"s" + std::to_string(pe) + "_" +
+                                       std::to_string(k) + "\"";
+                tasks += R"(, {"id": )" + id + R"(, "pe": )" +
+                         std::to_string(pe) + "}";
+                edges += std::string(edges.empty() ? "" : ", ") +
+                         R"({"src": )" + id +
+                         R"(, "dst": "r", "bytes": 8, "mech": "am"})";
+            }
+        }
+        TaskGraph g = mustParse(R"({"tasks": [)" + tasks +
+                                R"(], "edges": [)" + edges + "]}");
+        LowerOptions opt;
+        EXPECT_TRUE(g.validate(opt.pes, err)) << err;
+        Plan plan;
+        return Plan::build(g, opt, plan, err);
+    };
     std::string err;
-    LowerOptions opt;
-    opt.pes = 4;
-    ASSERT_TRUE(g.validate(opt.pes, err)) << err;
-    Plan plan;
-    EXPECT_FALSE(Plan::build(g, opt, plan, err));
-    EXPECT_NE(err.find("multiple sender PEs"), std::string::npos) << err;
+    for (const auto &[senders, per_sender] :
+         {std::pair{1, 1280}, std::pair{7, 182}, std::pair{5, 256}})
+        EXPECT_TRUE(lower(senders, per_sender, err)) << err;
+    for (const auto &[senders, per_sender] :
+         {std::pair{1, 1281}, std::pair{7, 183}}) {
+        err.clear();
+        EXPECT_FALSE(lower(senders, per_sender, err))
+            << senders << " x " << per_sender;
+        EXPECT_NE(err.find("am edges into pe 0 at level 0 exceed the "
+                           "1280-slot AM queue and overflow ring"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 TEST(Lowering, RejectsLayoutPastNodeSegment)

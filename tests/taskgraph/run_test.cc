@@ -3,10 +3,13 @@
  * End-to-end task-graph execution goldens: one DAG exercising every
  * lowered mechanism (local, store, put, get, blt, am, message) must
  * produce bit-identical makespan, finish hash and value checksum on
- * every run, with tracing enabled or not.
+ * every run, with tracing enabled or not, and so must a fan-in of
+ * several sender PEs into one receiver under every push mechanism.
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "probes/counters.hh"
 #include "taskgraph/graph.hh"
@@ -147,4 +150,75 @@ TEST(TaskGraphRun, UnpinnedGraphIsBitIdenticalAcrossRuns)
     EXPECT_EQ(r.makespanCycles, golden.makespanCycles);
     EXPECT_EQ(r.finishHash, golden.finishHash);
     EXPECT_EQ(r.checksum, golden.checksum);
+}
+
+namespace
+{
+
+/** @p senders tasks s1..sN, task si pinned to PE i with 100 + 37 i
+ *  cycles, each sending one 16-byte @p mech edge into task r on PE 0
+ *  (10 cycles), lowered for 8 PEs. */
+Plan
+fanInPlan(TaskGraph &g, int senders, const std::string &mech)
+{
+    std::string tasks = R"({"id": "r", "pe": 0, "cycles": 10})";
+    std::string edges;
+    for (int i = 1; i <= senders; ++i) {
+        const std::string id = "\"s" + std::to_string(i) + "\"";
+        tasks += R"(, {"id": )" + id + R"(, "pe": )" + std::to_string(i) +
+                 R"(, "cycles": )" + std::to_string(100 + 37 * i) + "}";
+        edges += std::string(i > 1 ? ", " : "") + R"({"src": )" + id +
+                 R"(, "dst": "r", "bytes": 16, "mech": ")" + mech + "\"}";
+    }
+    std::string err;
+    EXPECT_TRUE(TaskGraph::parseText(
+        R"({"tasks": [)" + tasks + R"(], "edges": [)" + edges + "]}", g,
+        err))
+        << err;
+    EXPECT_TRUE(g.validate(8, err)) << err;
+    Plan plan;
+    EXPECT_TRUE(Plan::build(g, LowerOptions{}, plan, err)) << err;
+    return plan;
+}
+
+} // namespace
+
+TEST(TaskGraphRun, FanInAgreesAcrossMechanisms)
+{
+    // Several sender PEs into one receiver in one level: the one
+    // scheduler's order defines the answer, so every mechanism folds
+    // the same payloads, and repeated or traced runs repeat it.
+    struct Case
+    {
+        const char *mech;
+        Cycles sevenSenderMakespan; ///< pinned golden; 0 = unpinned
+    };
+    const Case cases[] = {
+        {"store", 0}, {"put", 0}, {"am", 2905}, {"message", 27805}};
+    for (const int senders : {1, 2, 7}) {
+        std::uint64_t checksum = 0;
+        for (const Case &c : cases) {
+            TaskGraph g;
+            const Plan plan = fanInPlan(g, senders, c.mech);
+            const RunResult golden = simulate(g, plan);
+            if (checksum == 0)
+                checksum = golden.checksum;
+            EXPECT_EQ(golden.checksum, checksum)
+                << senders << " senders, " << c.mech;
+
+            RunOptions traced;
+            traced.trace = true;
+            for (const RunResult &r :
+                 {simulate(g, plan), simulate(g, plan, traced)}) {
+                EXPECT_EQ(r.makespanCycles, golden.makespanCycles);
+                EXPECT_EQ(r.finishHash, golden.finishHash);
+                EXPECT_EQ(r.checksum, golden.checksum);
+            }
+
+            if (senders == 7 && c.sevenSenderMakespan != 0) {
+                EXPECT_EQ(golden.makespanCycles, c.sevenSenderMakespan)
+                    << c.mech;
+            }
+        }
+    }
 }

@@ -293,3 +293,44 @@ TEST(JobService, RejectsMalformedRequests)
     EXPECT_EQ(service.stats().simulations, 0u);
     EXPECT_EQ(service.stats().predictions, 0u);
 }
+
+TEST(JobService, RefusesAmFanInPastQueueAndAnswersNext)
+{
+    // 1,281 am edges from tasks on PE 1 into one task on PE 0: one
+    // more deposit than the AM queue and overflow ring hold. Both
+    // modes refuse it at lowering instead of ending the process, and
+    // the pool goes on to answer the next job.
+    std::string tasks = R"({"id":"r","pe":0})", edges;
+    for (int k = 0; k < 1281; ++k) {
+        const std::string id = "\"s" + std::to_string(k) + "\"";
+        tasks += R"(,{"id":)" + id + R"(,"pe":1})";
+        edges += std::string(k ? "," : "") + R"({"src":)" + id +
+                 R"(,"dst":"r","bytes":16,"mech":"am"})";
+    }
+    ServiceOptions opt;
+    opt.workers = 2;
+    opt.model = model::defaultCostModel();
+    Collector out;
+    JobService service(opt, out.fn());
+    std::uint64_t tag = 1;
+    for (const char *mode : {"simulate", "predict"}) {
+        service.submit(R"({"id":"fan","mode":")" + std::string(mode) +
+                           R"(","pes":8,"graph":{"tasks":[)" + tasks +
+                           R"(],"edges":[)" + edges + "]}}",
+                       tag++);
+    }
+    service.submit(jobLine("next", "simulate", 60), tag);
+    service.drain();
+
+    for (std::uint64_t t = 1; t <= 2; ++t) {
+        EXPECT_TRUE(contains(out.responses[t], "\"ok\":false"));
+        EXPECT_TRUE(contains(out.responses[t],
+                             "edge 1280: am edges into pe 0 at level 0 "
+                             "exceed the 1280-slot AM queue"))
+            << out.responses[t];
+    }
+    EXPECT_TRUE(contains(out.responses[3], "\"ok\":true"))
+        << out.responses[3];
+    EXPECT_EQ(service.stats().errors, 2u);
+    EXPECT_EQ(service.stats().simulations, 1u);
+}
