@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "model/primitives.hh"
 #include "splitc/config.hh"
@@ -126,6 +127,19 @@ predictGraph(const TaskGraph &graph, const Plan &plan,
                   static_cast<double>(work.expectAms) *
                       static_cast<double>(
                           splitc_defaults.amDispatchOverheadCycles));
+            // A receiver drains its AMs only after its own exchange,
+            // so deposits past the primary queue can take the DRAM
+            // overflow ring, one interrupt each: flagged, not priced.
+            if (work.expectAms > splitc_defaults.amQueueSlots) {
+                pred.flags.push_back(
+                    "amOverflows possible on pe " + std::to_string(pe) +
+                    " at level " + std::to_string(level) + " (" +
+                    std::to_string(work.expectAms) +
+                    " am deposits, " +
+                    std::to_string(splitc_defaults.amQueueSlots) +
+                    "-slot AM queue): limit path, linear composition "
+                    "unreliable");
+            }
             c.add("message", static_cast<double>(work.expectMessages) *
                                  model.beta("msgInterrupts"));
             // Two barriers bound every superstep (phase A -> exchange

@@ -187,4 +187,30 @@ TEST_F(GetPutTest, GetStatisticsCount)
     EXPECT_EQ(puts, 1u);
 }
 
+TEST(GetThenBulkGet, EachLandsInItsOwnTarget)
+{
+    // A bulk get below the BLT crossover pops the prefetch FIFO it
+    // shares with split-phase gets; the outstanding get must be
+    // popped into its own target first (§5.4), not swapped into the
+    // transfer.
+    Machine m{MachineConfig::t3d(2)};
+    const Addr a = 0x30000, b = 0x30100;
+    m.node(1).storage().writeU64(a, 111);
+    m.node(1).storage().writeU64(b, 222);
+    m.node(1).storage().writeU64(b + 8, 333);
+    const Addr x = 0x20000, y = 0x20100;
+    runSpmd(m, [&](Proc &p) -> ProcTask {
+        if (p.pe() == 0) {
+            p.getU64(GlobalAddr::make(1, a), x);
+            p.bulkGet(y, GlobalAddr::make(1, b), 16);
+            p.sync();
+            auto &core = p.node().core();
+            EXPECT_EQ(core.loadU64(x), 111u);
+            EXPECT_EQ(core.loadU64(y), 222u);
+            EXPECT_EQ(core.loadU64(y + 8), 333u);
+        }
+        co_return;
+    });
+}
+
 } // namespace

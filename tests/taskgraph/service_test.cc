@@ -16,6 +16,8 @@
 
 #include "model/json.hh"
 #include "model/primitives.hh"
+#include "taskgraph/lower.hh"
+#include "taskgraph/predict.hh"
 #include "taskgraph/service.hh"
 
 using namespace t3dsim;
@@ -63,6 +65,21 @@ bool
 contains(const std::string &s, const std::string &needle)
 {
     return s.find(needle) != std::string::npos;
+}
+
+/** The "graph" object of @p edges 16-byte am edges from tasks on
+ *  PE 1 into one task on PE 0: a one-sender fan-in. */
+std::string
+amFanInGraph(int edges)
+{
+    std::string tasks = R"({"id":"r","pe":0})", list;
+    for (int k = 0; k < edges; ++k) {
+        const std::string id = "\"s" + std::to_string(k) + "\"";
+        tasks += R"(,{"id":)" + id + R"(,"pe":1})";
+        list += std::string(k ? "," : "") + R"({"src":)" + id +
+                R"(,"dst":"r","bytes":16,"mech":"am"})";
+    }
+    return R"({"tasks":[)" + tasks + R"(],"edges":[)" + list + "]}";
 }
 
 /** Everything past the volatile cache field: the executed payload. */
@@ -333,4 +350,50 @@ TEST(JobService, RefusesAmFanInPastQueueAndAnswersNext)
         << out.responses[3];
     EXPECT_EQ(service.stats().errors, 2u);
     EXPECT_EQ(service.stats().simulations, 1u);
+}
+
+TEST(Predict, FlagsAmFanInPastThePrimaryQueue)
+{
+    // 1,280 deposits into PE 0 in one level: all but 256 can take
+    // the overflow ring, one interrupt each, which the prediction
+    // does not price, so it carries a limit-path flag. 256 fit the
+    // primary queue and are not flagged.
+    for (const int edges : {1280, 256}) {
+        TaskGraph g;
+        std::string err;
+        ASSERT_TRUE(TaskGraph::parseText(amFanInGraph(edges), g, err))
+            << err;
+        ASSERT_TRUE(g.validate(8, err)) << err;
+        Plan plan;
+        ASSERT_TRUE(Plan::build(g, LowerOptions{}, plan, err)) << err;
+        const model::Prediction pred =
+            predictGraph(g, plan, model::defaultCostModel());
+        if (edges == 256) {
+            EXPECT_TRUE(pred.flags.empty()) << pred.flags.front();
+            continue;
+        }
+        ASSERT_EQ(pred.flags.size(), 1u);
+        EXPECT_EQ(pred.flags[0],
+                  "amOverflows possible on pe 0 at level 0 (1280 am "
+                  "deposits, 256-slot AM queue): limit path, linear "
+                  "composition unreliable");
+    }
+
+    ServiceOptions opt;
+    opt.workers = 1;
+    opt.model = model::defaultCostModel();
+    Collector out;
+    JobService service(opt, out.fn());
+    service.submit(R"({"id":"fan","mode":"predict","pes":8,"graph":)" +
+                       amFanInGraph(1280) + "}",
+                   1);
+    service.submit(R"({"id":"fit","mode":"predict","pes":8,"graph":)" +
+                       amFanInGraph(256) + "}",
+                   2);
+    service.drain();
+    EXPECT_TRUE(contains(out.responses[1],
+                         "\"flags\":[\"amOverflows possible on pe 0"))
+        << out.responses[1];
+    EXPECT_TRUE(contains(out.responses[2], "\"flags\":[]"))
+        << out.responses[2];
 }
