@@ -42,6 +42,22 @@ Plan::build(const TaskGraph &graph, const LowerOptions &options, Plan &out,
     out.pes = options.pes;
     out.options = options;
 
+    // The work table is dense, one cell per PE per level: bound it
+    // before placement or layout allocate anything per PE.
+    std::uint32_t levels = 0;
+    for (const Task &task : graph.tasks)
+        levels = std::max(levels, task.level + 1);
+    out.levels = levels;
+    const std::uint64_t cells =
+        std::uint64_t{options.pes} * std::max(levels, 1u);
+    if (cells > kMaxPeLevels) {
+        err = "plan of " + std::to_string(options.pes) + " pes x " +
+              std::to_string(levels) + " levels = " + std::to_string(cells) +
+              " pe-levels exceeds the " + std::to_string(kMaxPeLevels) +
+              " pe-level budget";
+        return false;
+    }
+
     // Task costs, bounded before anything adds them up: each one and
     // their running sum stay within kMaxGraphCycles.
     out.taskCycles.resize(graph.tasks.size());
@@ -88,11 +104,6 @@ Plan::build(const TaskGraph &graph, const LowerOptions &options, Plan &out,
         out.placement[t] = best;
         load[best] += out.taskCycles[t];
     }
-
-    std::uint32_t levels = 0;
-    for (const Task &task : graph.tasks)
-        levels = std::max(levels, task.level + 1);
-    out.levels = levels;
 
     // Mechanism choice + memory layout. Each PE's region is a bump
     // cursor: one result word per task it owns, one staging span per

@@ -30,6 +30,12 @@ namespace t3dsim::taskgraph
  *  predictor's sums can wrap. */
 constexpr std::uint64_t kMaxGraphCycles = std::uint64_t{1} << 62;
 
+/** The most (PE, level) cells a plan's dense work table may hold,
+ *  PEs x max(levels, 1): at 80 bytes a cell, 2.7 GB at most. A
+ *  300-task chain at 65,536 PEs fits; a 3,000-task one is refused
+ *  before anything is allocated per PE. */
+constexpr std::uint64_t kMaxPeLevels = std::uint64_t{1} << 25;
+
 /** Knobs for placement and mechanism selection. */
 struct LowerOptions
 {
@@ -97,10 +103,11 @@ struct Plan
      * tasks (least accumulated compute weight, lowest PE id wins
      * ties), mechanism choice by size for Auto edges, and memory
      * layout. A task cost, or a sum of all of them, past
-     * kMaxGraphCycles is an error, and so is a (receiver PE, level)
-     * with more Am edges than a default SplitcConfig's primary AM
-     * queue plus overflow ring hold. The graph must already have
-     * passed validate(options.pes).
+     * kMaxGraphCycles is an error, and so are PEs x levels past
+     * kMaxPeLevels and a (receiver PE, level) with more Am edges
+     * than a default SplitcConfig's primary AM queue plus overflow
+     * ring hold. The graph must already have passed
+     * validate(options.pes).
      */
     static bool build(const TaskGraph &graph, const LowerOptions &options,
                       Plan &out, std::string &err);

@@ -382,6 +382,34 @@ TEST(Lowering, RejectsTaskCostPastBound)
     }
 }
 
+TEST(Lowering, RejectsPlanPastPeLevelBudget)
+{
+    // A 513-task chain at 65,536 PEs is one level past kMaxPeLevels
+    // (512 levels at that size): refused before placement, so no
+    // per-PE table or vector was allocated.
+    std::string tasks = R"({"id":"t0"})", edges;
+    for (int k = 1; k <= 512; ++k) {
+        const std::string id = "\"t" + std::to_string(k) + "\"";
+        tasks += R"(,{"id":)" + id + "}";
+        edges += std::string(k > 1 ? "," : "") + R"({"src":"t)" +
+                 std::to_string(k - 1) + R"(","dst":)" + id + "}";
+    }
+    TaskGraph g =
+        mustParse(R"({"tasks":[)" + tasks + R"(],"edges":[)" + edges + "]}");
+    LowerOptions opt;
+    opt.pes = 65536;
+    std::string err;
+    ASSERT_TRUE(g.validate(opt.pes, err)) << err;
+    ASSERT_EQ(kMaxPeLevels / opt.pes, 512u);
+    Plan plan;
+    EXPECT_FALSE(Plan::build(g, opt, plan, err));
+    EXPECT_EQ(err, "plan of 65536 pes x 513 levels = 33619968 pe-levels "
+                   "exceeds the 33554432 pe-level budget");
+    EXPECT_TRUE(plan.work.empty());
+    EXPECT_TRUE(plan.placement.empty());
+    EXPECT_TRUE(plan.taskCycles.empty());
+}
+
 TEST(Lowering, AlignsLayoutSpansToCacheLines)
 {
     TaskGraph g = mustParse(kDiamond);

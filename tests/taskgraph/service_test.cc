@@ -82,6 +82,38 @@ amFanInGraph(int edges)
     return R"({"tasks":[)" + tasks + R"(],"edges":[)" + list + "]}";
 }
 
+/** Submits @p graph at @p pes in both modes, then a normal job, to a
+ *  two-worker pool: both modes must answer ok:false naming
+ *  @p error, and the pool must go on to answer the normal job. */
+void
+expectRefusedThenAnswersNext(const std::string &graph, int pes,
+                             const std::string &error)
+{
+    ServiceOptions opt;
+    opt.workers = 2;
+    opt.model = model::defaultCostModel();
+    Collector out;
+    JobService service(opt, out.fn());
+    std::uint64_t tag = 1;
+    for (const char *mode : {"simulate", "predict"}) {
+        service.submit(R"({"id":"bad","mode":")" + std::string(mode) +
+                           R"(","pes":)" + std::to_string(pes) +
+                           R"(,"graph":)" + graph + "}",
+                       tag++);
+    }
+    service.submit(jobLine("next", "simulate", 60), tag);
+    service.drain();
+
+    for (std::uint64_t t = 1; t <= 2; ++t) {
+        EXPECT_TRUE(contains(out.responses[t], "\"ok\":false"));
+        EXPECT_TRUE(contains(out.responses[t], error)) << out.responses[t];
+    }
+    EXPECT_TRUE(contains(out.responses[3], "\"ok\":true"))
+        << out.responses[3];
+    EXPECT_EQ(service.stats().errors, 2u);
+    EXPECT_EQ(service.stats().simulations, 1u);
+}
+
 /** Everything past the volatile cache field: the executed payload. */
 std::string
 payloadOf(const std::string &response)
@@ -317,39 +349,28 @@ TEST(JobService, RefusesAmFanInPastQueueAndAnswersNext)
     // more deposit than the AM queue and overflow ring hold. Both
     // modes refuse it at lowering instead of ending the process, and
     // the pool goes on to answer the next job.
-    std::string tasks = R"({"id":"r","pe":0})", edges;
-    for (int k = 0; k < 1281; ++k) {
-        const std::string id = "\"s" + std::to_string(k) + "\"";
-        tasks += R"(,{"id":)" + id + R"(,"pe":1})";
-        edges += std::string(k ? "," : "") + R"({"src":)" + id +
-                 R"(,"dst":"r","bytes":16,"mech":"am"})";
-    }
-    ServiceOptions opt;
-    opt.workers = 2;
-    opt.model = model::defaultCostModel();
-    Collector out;
-    JobService service(opt, out.fn());
-    std::uint64_t tag = 1;
-    for (const char *mode : {"simulate", "predict"}) {
-        service.submit(R"({"id":"fan","mode":")" + std::string(mode) +
-                           R"(","pes":8,"graph":{"tasks":[)" + tasks +
-                           R"(],"edges":[)" + edges + "]}}",
-                       tag++);
-    }
-    service.submit(jobLine("next", "simulate", 60), tag);
-    service.drain();
+    expectRefusedThenAnswersNext(amFanInGraph(1281), 8,
+                                 "edge 1280: am edges into pe 0 at level "
+                                 "0 exceed the 1280-slot AM queue");
+}
 
-    for (std::uint64_t t = 1; t <= 2; ++t) {
-        EXPECT_TRUE(contains(out.responses[t], "\"ok\":false"));
-        EXPECT_TRUE(contains(out.responses[t],
-                             "edge 1280: am edges into pe 0 at level 0 "
-                             "exceed the 1280-slot AM queue"))
-            << out.responses[t];
+TEST(JobService, RefusesPlanPastPeLevelBudgetAndAnswersNext)
+{
+    // A 3,000-task chain at 65,536 PEs: its dense work table would be
+    // 197M cells, about 15.7 GB, which once ended the process in an
+    // uncaught std::bad_alloc.
+    std::string tasks = R"({"id":"t0","cycles":10})", edges;
+    for (int k = 1; k < 3000; ++k) {
+        const std::string id = "\"t" + std::to_string(k) + "\"";
+        tasks += R"(,{"id":)" + id + R"(,"cycles":10})";
+        edges += std::string(k > 1 ? "," : "") + R"({"src":"t)" +
+                 std::to_string(k - 1) + R"(","dst":)" + id +
+                 R"(,"bytes":8})";
     }
-    EXPECT_TRUE(contains(out.responses[3], "\"ok\":true"))
-        << out.responses[3];
-    EXPECT_EQ(service.stats().errors, 2u);
-    EXPECT_EQ(service.stats().simulations, 1u);
+    expectRefusedThenAnswersNext(
+        R"({"tasks":[)" + tasks + R"(],"edges":[)" + edges + "]}", 65536,
+        "plan of 65536 pes x 3000 levels = 196608000 pe-levels exceeds "
+        "the 33554432 pe-level budget");
 }
 
 TEST(Predict, FlagsAmFanInPastThePrimaryQueue)
