@@ -2,15 +2,13 @@
  * @file
  * `t3d-serve` — the long-running batch simulation service
  * (docs/TASKGRAPH.md "Server protocol"). Reads one job per line of
- * line-delimited JSON from stdin (or an optional TCP socket), shards
- * jobs across host worker threads, answers each with one JSON line,
- * and caches results by (graph hash, machine hash, mode) so repeat
- * jobs short-circuit without re-simulating.
+ * line-delimited JSON from stdin, shards jobs across host worker
+ * threads, answers each with one JSON line, and caches results by
+ * (graph hash, machine hash, mode) so repeat jobs short-circuit
+ * without re-simulating.
  *
- *   t3d-serve [--threads=N] [--model=F] [--trace-dir=D] [--port=P]
- *             [--quiet]
- *       Serve jobs from stdin until EOF (and, with --port, from TCP
- *       connections until stdin closes). Responses go to stdout, one
+ *   t3d-serve [--threads=N] [--model=F] [--trace-dir=D] [--quiet]
+ *       Serve jobs from stdin until EOF. Responses go to stdout, one
  *       line each, in completion order; a stats summary goes to
  *       stderr at exit unless --quiet.
  *
@@ -29,15 +27,9 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "model/primitives.hh"
@@ -57,7 +49,6 @@ struct Options
      *  --model, the cost model. */
     taskgraph::ServiceOptions service;
     std::string modelPath;
-    int port = 0;
     bool once = false;
     bool quiet = false;
 };
@@ -67,14 +58,13 @@ parseArgs(int argc, char **argv)
 {
     cli::Args args(argc, argv,
                    "usage: t3d-serve [--threads=N] [--model=F]"
-                   " [--trace-dir=D] [--port=P] [--quiet] | --once\n");
+                   " [--trace-dir=D] [--quiet] | --once\n");
     Options opt;
     if (args.value("--threads", opt.service.workers) &&
         opt.service.workers < 1)
         args.fail("--threads must be >= 1");
     args.value("--model", opt.modelPath);
     args.value("--trace-dir", opt.service.traceDir);
-    args.value("--port", opt.port);
     opt.once = args.flag("--once");
     opt.quiet = args.flag("--quiet");
     args.done();
@@ -88,17 +78,15 @@ const std::string kLineTooLong = "request line longer than " +
                                  std::to_string(kMaxLineBytes) + " bytes";
 
 /**
- * Splits what read(2) returns on one descriptor (stdin or a TCP
- * connection) into request lines. Each byte is scanned once. A line
- * past kMaxLineBytes is reported as soon as it crosses the cap, and
- * its rest is dropped as it arrives instead of being buffered.
+ * Splits what read(2) returns on stdin into request lines. Each byte
+ * is scanned once. A line past kMaxLineBytes is reported as soon as
+ * it crosses the cap, and its rest is dropped as it arrives instead
+ * of being buffered.
  */
 class LineReader
 {
   public:
     enum class Got { Line, TooLong, End };
-
-    explicit LineReader(int fd) : _fd(fd) {}
 
     /** The next line (without its '\n') into @p line. */
     Got
@@ -106,7 +94,8 @@ class LineReader
     {
         for (;;) {
             if (_pos == _len) {
-                const ssize_t n = ::read(_fd, _chunk, sizeof _chunk);
+                const ssize_t n =
+                    ::read(STDIN_FILENO, _chunk, sizeof _chunk);
                 if (n <= 0) {
                     // A last line may end at end of input.
                     if (_dropping || _line.empty())
@@ -142,7 +131,6 @@ class LineReader
     }
 
   private:
-    int _fd;
     char _chunk[64 * 1024];
     std::size_t _pos = 0; ///< next unscanned byte of _chunk
     std::size_t _len = 0; ///< bytes in _chunk
@@ -150,72 +138,25 @@ class LineReader
     bool _dropping = false; ///< skipping the rest of an over-long line
 };
 
-/** Submit every line @p fd delivers to @p service, tagged @p tag. */
+/** Submit every line stdin delivers to @p service. */
 void
-serveLines(taskgraph::JobService &service, int fd, std::uint64_t tag)
+serveStdin(taskgraph::JobService &service)
 {
-    LineReader reader(fd);
+    LineReader reader;
     std::string line;
     for (;;) {
         switch (reader.next(line)) {
           case LineReader::Got::End:
             return;
           case LineReader::Got::TooLong:
-            service.reject(kLineTooLong, tag);
+            service.reject(kLineTooLong);
             break;
           case LineReader::Got::Line:
             if (!line.empty())
-                service.submit(std::move(line), tag);
+                service.submit(std::move(line));
             line.clear();
             break;
         }
-    }
-}
-
-/** Serializes response lines from worker threads onto stdout. */
-class StdoutSink
-{
-  public:
-    void
-    write(const std::string &line)
-    {
-        std::lock_guard<std::mutex> lock(_m);
-        std::fwrite(line.data(), 1, line.size(), stdout);
-        std::fputc('\n', stdout);
-        std::fflush(stdout);
-    }
-
-  private:
-    std::mutex _m;
-};
-
-/** Guards concurrent per-connection response writes. */
-struct SocketSink
-{
-    std::mutex m;
-    int fd = -1;
-};
-
-/** Accept loop: one thread per connection, answers routed by tag. */
-void
-listenLoop(int listen_fd, taskgraph::JobService &service,
-           std::vector<std::thread> &conn_threads,
-           std::vector<std::unique_ptr<SocketSink>> &sinks,
-           std::mutex &conn_m)
-{
-    for (;;) {
-        const int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd < 0)
-            break;
-        std::lock_guard<std::mutex> lock(conn_m);
-        sinks.push_back(std::make_unique<SocketSink>());
-        SocketSink &sink = *sinks.back();
-        sink.fd = fd;
-        // Tags route each response back to this connection.
-        conn_threads.emplace_back([&service, &sink] {
-            serveLines(service, sink.fd,
-                       reinterpret_cast<std::uint64_t>(&sink));
-        });
     }
 }
 
@@ -234,7 +175,7 @@ main(int argc, char **argv)
 
     if (opt.once) {
         std::string line;
-        switch (LineReader(STDIN_FILENO).next(line)) {
+        switch (LineReader().next(line)) {
           case LineReader::Got::End:
             std::cerr << "error: --once expects one job line on"
                          " stdin\n";
@@ -253,80 +194,17 @@ main(int argc, char **argv)
         return 0;
     }
 
-    StdoutSink stdout_sink;
-    std::vector<std::unique_ptr<SocketSink>> sinks;
-    std::mutex conn_m;
-
+    // Workers answer concurrently; one lock keeps each line whole.
+    std::mutex out_m;
     taskgraph::JobService service(
-        opt.service, [&](std::uint64_t tag, const std::string &line) {
-            if (tag != 0) {
-                auto *sink = reinterpret_cast<SocketSink *>(tag);
-                std::lock_guard<std::mutex> lock(sink->m);
-                std::string out = line;
-                out += '\n';
-                const char *p = out.data();
-                std::size_t left = out.size();
-                while (left > 0) {
-                    const ssize_t n = ::write(sink->fd, p, left);
-                    if (n <= 0)
-                        break;
-                    p += n;
-                    left -= std::size_t(n);
-                }
-                return;
-            }
-            stdout_sink.write(line);
+        opt.service, [&](std::uint64_t, const std::string &line) {
+            std::lock_guard<std::mutex> lock(out_m);
+            std::fwrite(line.data(), 1, line.size(), stdout);
+            std::fputc('\n', stdout);
+            std::fflush(stdout);
         });
-
-    int listen_fd = -1;
-    std::thread listener;
-    std::vector<std::thread> conn_threads;
-    if (opt.port > 0) {
-        listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (listen_fd < 0) {
-            std::cerr << "error: socket() failed\n";
-            return 1;
-        }
-        const int one = 1;
-        ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof one);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = htons(std::uint16_t(opt.port));
-        if (::bind(listen_fd, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof addr) < 0 ||
-            ::listen(listen_fd, 64) < 0) {
-            std::cerr << "error: cannot listen on port " << opt.port
-                      << "\n";
-            return 1;
-        }
-        if (!opt.quiet)
-            std::cerr << "t3d-serve: listening on 127.0.0.1:"
-                      << opt.port << "\n";
-        listener = std::thread([&] {
-            listenLoop(listen_fd, service, conn_threads, sinks,
-                       conn_m);
-        });
-    }
-
-    serveLines(service, STDIN_FILENO, 0);
+    serveStdin(service);
     service.drain();
-
-    if (listen_fd >= 0) {
-        ::shutdown(listen_fd, SHUT_RDWR);
-        ::close(listen_fd);
-        listener.join();
-        std::lock_guard<std::mutex> lock(conn_m);
-        for (auto &sink : sinks)
-            if (sink->fd >= 0) {
-                ::shutdown(sink->fd, SHUT_RDWR);
-                ::close(sink->fd);
-            }
-        for (std::thread &t : conn_threads)
-            t.join();
-        service.drain();
-    }
 
     if (!opt.quiet) {
         const taskgraph::JobService::Stats s = service.stats();

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "apps/checksum.hh"
 #include "machine/config.hh"
+#include "sim/hash.hh"
 #include "sim/logging.hh"
 #include "splitc/executor.hh"
 #include "splitc/global_ptr.hh"
@@ -283,7 +283,8 @@ run(const Config &config, Variant variant,
             reference.push_back(keyOf(config.seed, pe, i));
     std::sort(reference.begin(), reference.end());
     result.sorted = gathered == reference;
-    result.checksum = apps::fnv1a(gathered);
+    result.checksum =
+        hash::fnv1aBytes(gathered.data(), gathered.size() * 8);
 
     if (machine.countersEnabled()) {
         result.counters = machine.totalCounters();

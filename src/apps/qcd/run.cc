@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 
-#include "apps/checksum.hh"
 #include "machine/config.hh"
+#include "sim/hash.hh"
 #include "sim/logging.hh"
 #include "splitc/executor.hh"
 #include "splitc/global_ptr.hh"
@@ -353,7 +353,8 @@ run(const Config &config, Variant variant,
         match = gathered[i] ==
             std::bit_cast<std::uint64_t>(reference[i]);
     result.converged = match;
-    result.checksum = apps::fnv1a(gathered);
+    result.checksum =
+        hash::fnv1aBytes(gathered.data(), gathered.size() * 8);
 
     if (machine.countersEnabled()) {
         result.counters = machine.totalCounters();

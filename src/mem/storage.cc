@@ -18,42 +18,6 @@ Storage::Storage(Addr limit, unsigned chunk_shift)
 {
 }
 
-Storage::Storage(Storage &&other) noexcept
-    : _limit(other._limit), _chunkShift(other._chunkShift),
-      _chunkSize(other._chunkSize), _chunkMask(other._chunkMask),
-      _groups(std::move(other._groups)),
-      _chunksAllocated(other._chunksAllocated),
-      _groupsAllocated(other._groupsAllocated),
-      _cachedKey(other._cachedKey), _cachedChunk(other._cachedChunk)
-{
-    other._chunksAllocated = 0;
-    other._groupsAllocated = 0;
-    other._cachedKey = noChunk;
-    other._cachedChunk = nullptr;
-}
-
-Storage &
-Storage::operator=(Storage &&other) noexcept
-{
-    if (this != &other) {
-        destroyChunks();
-        _limit = other._limit;
-        _chunkShift = other._chunkShift;
-        _chunkSize = other._chunkSize;
-        _chunkMask = other._chunkMask;
-        _groups = std::move(other._groups);
-        _chunksAllocated = other._chunksAllocated;
-        _groupsAllocated = other._groupsAllocated;
-        _cachedKey = other._cachedKey;
-        _cachedChunk = other._cachedChunk;
-        other._chunksAllocated = 0;
-        other._groupsAllocated = 0;
-        other._cachedKey = noChunk;
-        other._cachedChunk = nullptr;
-    }
-    return *this;
-}
-
 Storage::~Storage() { destroyChunks(); }
 
 void

@@ -63,8 +63,6 @@ class Storage
 
     Storage(const Storage &) = delete;
     Storage &operator=(const Storage &) = delete;
-    Storage(Storage &&other) noexcept;
-    Storage &operator=(Storage &&other) noexcept;
     ~Storage();
 
     /** One-past-the-last valid byte address. */

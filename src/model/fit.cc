@@ -201,24 +201,6 @@ solveLeastSquares(const std::vector<std::vector<double>> &rows,
     return true;
 }
 
-double
-medianAbsRelError(const std::vector<double> &predicted,
-                  const std::vector<double> &observed)
-{
-    std::vector<double> rel;
-    const std::size_t n =
-        std::min(predicted.size(), observed.size());
-    for (std::size_t i = 0; i < n; ++i) {
-        const double denom =
-            std::abs(observed[i]) > 1 ? std::abs(observed[i]) : 1;
-        rel.push_back(std::abs(predicted[i] - observed[i]) / denom);
-    }
-    if (rel.empty())
-        return 0;
-    std::sort(rel.begin(), rel.end());
-    return rel[rel.size() / 2];
-}
-
 FitQuality
 qualityFromPairs(const std::vector<double> &predicted,
                  const std::vector<double> &observed)

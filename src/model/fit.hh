@@ -138,10 +138,6 @@ residuals(const std::vector<FitPoint> &points, Fn &&predict)
     return q;
 }
 
-/** Median of |pred-obs|/|obs| over generic prediction pairs. */
-double medianAbsRelError(const std::vector<double> &predicted,
-                         const std::vector<double> &observed);
-
 /** Residual diagnostics over generic prediction pairs. */
 FitQuality qualityFromPairs(const std::vector<double> &predicted,
                             const std::vector<double> &observed);

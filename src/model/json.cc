@@ -206,13 +206,49 @@ struct Parser
             out = Json::makeNull();
             return true;
         }
-        // Number.
-        const char *start = text.c_str() + pos;
-        char *end = nullptr;
-        const double v = std::strtod(start, &end);
-        if (end == start)
+        return parseNumber(out);
+    }
+
+    /** Skip a run of digits; false if there was none. */
+    bool
+    digits()
+    {
+        const std::size_t from = pos;
+        while (pos < text.size() &&
+               std::isdigit(static_cast<unsigned char>(text[pos])))
+            ++pos;
+        return pos > from;
+    }
+
+    /** A number by RFC 8259's grammar. strtod alone would also take
+     *  nan, inf, hex, a leading '+' or '.', leading zeros and a
+     *  trailing '.'. */
+    bool
+    parseNumber(Json &out)
+    {
+        const std::size_t start = pos;
+        if (text[pos] == '-')
+            ++pos;
+        if (pos < text.size() && text[pos] == '0')
+            ++pos;
+        else if (!digits())
             return fail("expected a value");
-        pos += static_cast<std::size_t>(end - start);
+        if (pos < text.size() && text[pos] == '.') {
+            ++pos;
+            if (!digits())
+                return fail("expected a digit after '.'");
+        }
+        if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
+            ++pos;
+            if (pos < text.size() && (text[pos] == '+' || text[pos] == '-'))
+                ++pos;
+            if (!digits())
+                return fail("expected an exponent digit");
+        }
+        char *end = nullptr;
+        const double v = std::strtod(text.c_str() + start, &end);
+        if (end != text.c_str() + pos)
+            return fail("bad number");
         out = Json::makeNumber(v);
         return true;
     }

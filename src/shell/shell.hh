@@ -50,10 +50,6 @@ class Shell
     MessageQueue &messages() { return _messages; }
     FetchIncRegisters &fetchIncRegs() { return _fetchInc; }
 
-    /** The shell's swap register (operand/result of atomic swap). */
-    std::uint64_t swapRegister() const { return _swapRegister; }
-    void setSwapRegister(std::uint64_t v) { _swapRegister = v; }
-
     const ShellConfig &config() const { return _config; }
     PeId localPe() const { return _localPe; }
 
@@ -77,7 +73,6 @@ class Shell
     BlockTransferEngine _blt;
     MessageQueue _messages;
     FetchIncRegisters _fetchInc;
-    std::uint64_t _swapRegister = 0;
 
     probes::PerfCounters *_ctr = nullptr;
     probes::TraceSink *_trace = nullptr;

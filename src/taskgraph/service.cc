@@ -67,22 +67,38 @@ parseRequest(const std::string &line, Request &req, std::string &err)
     if (doc["id"].isString())
         req.id = doc["id"].str();
     if (doc.has("mode")) {
-        const std::string mode = doc["mode"].str();
-        if (mode == "predict") {
+        const model::Json &mode = doc["mode"];
+        if (!mode.isString()) {
+            err = "'mode' must be a string (simulate|predict)";
+            return false;
+        }
+        if (mode.str() == "predict") {
             req.predict = true;
-        } else if (mode != "simulate") {
-            err = "unknown mode '" + mode + "' (simulate|predict)";
+        } else if (mode.str() != "simulate") {
+            err = "unknown mode '" + mode.str() + "' (simulate|predict)";
             return false;
         }
     }
-    const double pes = doc.numberOr("pes", 8);
-    if (pes < 1 || pes > 65536 || pes != static_cast<double>(
-                                             static_cast<std::uint32_t>(pes))) {
-        err = "'pes' must be an integer in [1, 65536]";
-        return false;
+    if (doc.has("pes")) {
+        // Range before the cast: casting a NaN or a double past 2^32
+        // is undefined.
+        const model::Json &pes = doc["pes"];
+        if (!pes.isNumber() ||
+            !(pes.number() >= 1 && pes.number() <= 65536) ||
+            pes.number() != static_cast<double>(
+                                static_cast<std::uint32_t>(pes.number()))) {
+            err = "'pes' must be an integer in [1, 65536]";
+            return false;
+        }
+        req.pes = static_cast<std::uint32_t>(pes.number());
     }
-    req.pes = static_cast<std::uint32_t>(pes);
-    req.trace = doc["trace"].isBool() && doc["trace"].boolean();
+    if (doc.has("trace")) {
+        if (!doc["trace"].isBool()) {
+            err = "'trace' must be true or false";
+            return false;
+        }
+        req.trace = doc["trace"].boolean();
+    }
 
     if (!doc.has("graph")) {
         err = "missing 'graph'";
@@ -276,45 +292,26 @@ JobService::process(const Job &job)
                             hex64(req.machineHash) +
                             (req.predict ? "/p" : "/s") +
                             (req.trace ? "/t" : "");
-    std::shared_ptr<CacheEntry> entry;
-    bool leader = false;
-    {
-        std::lock_guard<std::mutex> lock(_m);
-        auto it = _cache.find(key);
-        if (it == _cache.end()) {
-            entry = std::make_shared<CacheEntry>();
-            _cache.emplace(key, entry);
-            leader = true;
-        } else {
-            entry = it->second;
-        }
-    }
-
+    std::unique_lock<std::mutex> lock(_m);
+    const auto [it, leader] = _cache.try_emplace(key);
+    CacheEntry &entry = it->second;
     if (leader) {
-        const std::string payload =
+        lock.unlock();
+        std::string payload =
             executePayload(req, _options.model, _options.traceDir);
-        {
-            std::lock_guard<std::mutex> entry_lock(entry->m);
-            entry->payload = payload;
-            entry->done = true;
-        }
-        entry->cv.notify_all();
-        std::lock_guard<std::mutex> lock(_m);
-        ++_stats.jobs;
-        if (req.predict)
-            ++_stats.predictions;
-        else
-            ++_stats.simulations;
+        lock.lock();
+        entry.payload = std::move(payload);
+        entry.done = true;
+        ++(req.predict ? _stats.predictions : _stats.simulations);
+        _filled.notify_all();
     } else {
-        {
-            std::unique_lock<std::mutex> entry_lock(entry->m);
-            entry->cv.wait(entry_lock, [&] { return entry->done; });
-        }
-        std::lock_guard<std::mutex> lock(_m);
-        ++_stats.jobs;
+        _filled.wait(lock, [&entry] { return entry.done; });
         ++_stats.cacheHits;
     }
-    _onResponse(job.tag, okResponse(req.id, !leader, entry->payload));
+    ++_stats.jobs;
+    lock.unlock();
+    // done is never reset, so the payload is read without _m.
+    _onResponse(job.tag, okResponse(req.id, !leader, entry.payload));
 }
 
 std::string

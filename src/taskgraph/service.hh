@@ -18,7 +18,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -53,8 +52,9 @@ struct ServiceOptions
 class JobService
 {
   public:
-    /** @param tag Caller's routing cookie, echoed verbatim (t3d-serve
-     *  uses it to route socket responses to the right connection). */
+    /** @param tag Caller's routing cookie, echoed verbatim (callers
+     *  that submit many lines use it to match each response to its
+     *  request). */
     using ResponseFn =
         std::function<void(std::uint64_t tag, const std::string &line)>;
 
@@ -99,10 +99,10 @@ class JobService
                                      const std::string &err);
 
   private:
+    /** One cached result, guarded by _m. Map nodes are never
+     *  erased, so a reference to an entry stays valid. */
     struct CacheEntry
     {
-        std::mutex m;
-        std::condition_variable cv;
         bool done = false;
         std::string payload;  ///< response fragment past the id/cache
     };
@@ -122,11 +122,12 @@ class JobService
     mutable std::mutex _m;
     std::condition_variable _wake;   ///< workers: queue or stop
     std::condition_variable _idle;   ///< drain(): all done
+    std::condition_variable _filled; ///< followers: a leader is done
     std::deque<Job> _queue;
     std::uint64_t _inFlight = 0;
     bool _stop = false;
     Stats _stats;
-    std::map<std::string, std::shared_ptr<CacheEntry>> _cache;
+    std::map<std::string, CacheEntry> _cache;
 
     std::vector<std::thread> _workers;
 };

@@ -5,12 +5,17 @@
  * malformed files a user will inevitably hand `t3d-model fit`.
  */
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "model/json.hh"
+#include "sim/json_writer.hh"
 
 namespace t3dsim::model
 {
@@ -49,12 +54,46 @@ TEST(Json, RejectsMalformedInput)
     // recursion would overflow the stack instead of failing.
     for (const std::string &bad : std::vector<std::string>{
              "{", "[1,", "{\"a\" 1}", "tru", "\"unterminated",
-             "{\"a\": 1,}", "[1 2]", "01x", std::string(200000, '[')}) {
+             "{\"a\": 1,}", "[1 2]", "01x",
+             // Numbers outside RFC 8259's grammar that strtod takes.
+             "-nan", "nan", "Infinity", "-Infinity", "inf", "0x10",
+             "{\"pes\":0x10}", "+1", "01", "-01", ".5", "1.", "1.e5",
+             "1e", "1e+", "-", "[-]", std::string(200000, '[')}) {
         std::string error;
         const Json doc = Json::parse(bad, &error);
         EXPECT_TRUE(doc.isNull()) << bad;
         EXPECT_FALSE(error.empty()) << bad;
     }
+}
+
+TEST(Json, ParsesEveryNumberJsonWriterEmits)
+{
+    const std::uint64_t u64max = std::numeric_limits<std::uint64_t>::max();
+    const std::int64_t i64min = std::numeric_limits<std::int64_t>::min();
+    std::ostringstream os;
+    sim::JsonWriter w(os, sim::JsonWriter::Style::Compact);
+    w.beginArray();
+    for (const double d : {0.0, -0.0, 1e-5, 1e17, 1.5e300, -2.5e-310})
+        w.value(d);
+    w.value(u64max).value(i64min);
+    w.value(std::numeric_limits<double>::infinity()).value(std::nan(""));
+    w.endArray();
+
+    std::string error;
+    const Json doc = Json::parse(os.str(), &error);
+    ASSERT_TRUE(error.empty()) << error << ": " << os.str();
+    const std::vector<Json> &xs = doc.array();
+    ASSERT_EQ(xs.size(), 10u) << os.str();
+    EXPECT_EQ(xs[0].number(), 0.0);
+    EXPECT_TRUE(std::signbit(xs[1].number()));
+    EXPECT_EQ(xs[2].number(), 1e-5);
+    EXPECT_EQ(xs[3].number(), 1e17);
+    EXPECT_EQ(xs[4].number(), 1.5e300);
+    EXPECT_EQ(xs[5].number(), -2.5e-310);
+    EXPECT_EQ(xs[6].number(), static_cast<double>(u64max));
+    EXPECT_EQ(xs[7].number(), static_cast<double>(i64min));
+    EXPECT_TRUE(xs[8].isNull()); // non-finite is written as null
+    EXPECT_TRUE(xs[9].isNull());
 }
 
 TEST(Json, RejectsTrailingGarbage)

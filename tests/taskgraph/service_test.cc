@@ -12,6 +12,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/json.hh"
@@ -341,6 +342,56 @@ TEST(JobService, RejectsMalformedRequests)
     EXPECT_EQ(service.stats().errors, 10u);
     EXPECT_EQ(service.stats().simulations, 0u);
     EXPECT_EQ(service.stats().predictions, 0u);
+}
+
+TEST(JobService, RejectsWrongTypedFieldsAndAnswersNext)
+{
+    // A field of the wrong JSON type is refused by name, not read as
+    // its default (8 PEs, no trace) or as an empty mode, from the
+    // pool and standalone alike, and the pool goes on to answer the
+    // next job. Numbers outside RFC 8259, such as -nan, which would
+    // reach an undefined float-to-int cast, are bad JSON; 1e400
+    // parses to infinity and fails the range check.
+    const std::string pes_err = "'pes' must be an integer in [1, 65536]";
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {R"("pes":"64")", pes_err},
+        {R"("pes":true)", pes_err},
+        {R"("pes":null)", pes_err},
+        {R"("pes":[4])", pes_err},
+        {R"("pes":-nan)", "bad JSON"},
+        {R"("pes":0x10)", "bad JSON"},
+        {R"("pes":1e400)", pes_err},
+        {R"("trace":"yes")", "'trace' must be true or false"},
+        {R"("mode":5)", "'mode' must be a string (simulate|predict)"},
+    };
+    const std::string graph =
+        R"("graph":{"tasks":[{"id":"a","cycles":5}]})";
+
+    ServiceOptions opt;
+    opt.workers = 2;
+    opt.model = model::defaultCostModel();
+    Collector out;
+    JobService service(opt, out.fn());
+    std::uint64_t tag = 0;
+    for (const auto &[field, error] : cases)
+        service.submit("{" + field + "," + graph + "}", tag++);
+    service.submit(jobLine("next", "simulate", 60), tag);
+    service.drain();
+
+    for (tag = 0; tag < cases.size(); ++tag) {
+        const auto &[field, error] = cases[tag];
+        const std::string &pooled = out.responses[tag];
+        EXPECT_TRUE(contains(pooled, "\"ok\":false")) << field;
+        EXPECT_TRUE(contains(pooled, error)) << field << ": " << pooled;
+        EXPECT_EQ(JobService::runStandalone("{" + field + "," + graph + "}",
+                                            opt.model, ""),
+                  pooled)
+            << field;
+    }
+    EXPECT_TRUE(contains(out.responses[tag], "\"ok\":true"))
+        << out.responses[tag];
+    EXPECT_EQ(service.stats().errors, cases.size());
+    EXPECT_EQ(service.stats().simulations, 1u);
 }
 
 TEST(JobService, RefusesAmFanInPastQueueAndAnswersNext)
