@@ -35,6 +35,7 @@
 #include "em3d/em3d.hh"
 #include "machine/machine.hh"
 #include "machine/workstation.hh"
+#include "probes/counters.hh"
 #include "probes/stride.hh"
 #include "probes/table.hh"
 #include "splitc/executor.hh"
@@ -387,6 +388,9 @@ tabNodeParams()
     machine::Machine m(machine::MachineConfig::t3d(2));
     auto &node = m.node(0);
     machine::Workstation ws;
+    // A record of its own, so T3DSIM_COUNTERS cannot switch it off.
+    probes::PerfCounters tlb_counters;
+    node.tlb().setCounters(&tlb_counters);
 
     // Cache size: last array size whose stride-8 sweep is all hits.
     auto points = probes::strideProbe(
@@ -413,7 +417,7 @@ tabNodeParams()
     const double ws_stream =
         streamBandwidth([&](Addr a) { ws.loadU64(a); },
                         [&] { return ws.clock().now(); });
-    const auto tlb_misses = node.tlb().misses();
+    const auto tlb_misses = tlb_counters.tlbMisses;
 
     return table(
         {"parameter", "model", "paper"},

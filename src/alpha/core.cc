@@ -21,19 +21,16 @@ AlphaCore::AlphaCore(const CoreConfig &config, Clock &clock, Tlb &tlb,
 void
 AlphaCore::loadBytes(Addr va, void *dst, std::size_t len)
 {
-    ++_loads;
     _wb.commitUpTo(_clock.now());
     _clock.advance(_tlb.access(va));
 
     const Addr pa = paOfVa(va);
     if (_dcache.probe(pa)) {
-        ++_cacheHits;
         T3D_COUNT(_ctr, l1Hits);
         _clock.advance(_config.loadHitCycles);
         _dcache.read(pa, dst, len);
         return;
     }
-    ++_cacheMisses;
     T3D_COUNT(_ctr, l1Misses);
 
     // A pending write-buffer entry for this line must reach memory
@@ -72,7 +69,6 @@ AlphaCore::loadBytes(Addr va, void *dst, std::size_t len)
 Addr
 AlphaCore::storeIssue(Addr va, const void *src, std::size_t len)
 {
-    ++_stores;
     _wb.commitUpTo(_clock.now());
     _clock.advance(_tlb.access(va));
 

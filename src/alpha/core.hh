@@ -110,7 +110,6 @@ class AlphaCore
      * annexed stores; 0 means plain local.
      */
     void setStoreTag(std::uint32_t tag) { _storeTag = tag; }
-    std::uint32_t storeTag() const { return _storeTag; }
 
     /** Charge an arbitrary number of cycles (shell primitives). */
     void charge(Cycles cycles) { _clock.advance(cycles); }
@@ -138,12 +137,6 @@ class AlphaCore
     /** Attach (or detach, with nullptr) the node's event counters. */
     void setCounters(probes::PerfCounters *ctr) { _ctr = ctr; }
 
-    /** Statistics. */
-    std::uint64_t loads() const { return _loads; }
-    std::uint64_t stores() const { return _stores; }
-    std::uint64_t cacheHits() const { return _cacheHits; }
-    std::uint64_t cacheMisses() const { return _cacheMisses; }
-
   private:
     /** Common load path; @p len must not cross a cache line. */
     void loadBytes(Addr va, void *dst, std::size_t len);
@@ -167,11 +160,6 @@ class AlphaCore
     probes::PerfCounters *_ctr = nullptr;
 
     std::uint32_t _storeTag = 0;
-
-    std::uint64_t _loads = 0;
-    std::uint64_t _stores = 0;
-    std::uint64_t _cacheHits = 0;
-    std::uint64_t _cacheMisses = 0;
 };
 
 } // namespace t3dsim::alpha

@@ -26,7 +26,6 @@ Tlb::accessScan(std::uint64_t page)
     for (auto &entry : _entries) {
         if (entry.valid && entry.page == page) {
             entry.lastUse = _useCounter;
-            ++_hits;
             _prevHit = _lastHit;
             _lastHit = static_cast<unsigned>(&entry - _entries.data());
             return 0;
@@ -38,7 +37,6 @@ Tlb::accessScan(std::uint64_t page)
         }
     }
 
-    ++_misses;
     T3D_COUNT(_ctr, tlbMisses);
     victim->valid = true;
     victim->page = page;

@@ -79,8 +79,6 @@ class Tlb
     /** Attach (or detach, with nullptr) the node's event counters. */
     void setCounters(probes::PerfCounters *ctr) { _ctr = ctr; }
 
-    std::uint64_t hits() const { return _hits; }
-    std::uint64_t misses() const { return _misses; }
     const Config &config() const { return _config; }
 
     /** Host bytes resident for this TLB model. */
@@ -108,7 +106,6 @@ class Tlb
         if (!entry.valid || entry.page != page)
             return false;
         entry.lastUse = _useCounter;
-        ++_hits;
         return true;
     }
 
@@ -145,8 +142,6 @@ class Tlb
     probes::PerfCounters *_ctr = nullptr;
 
     std::uint64_t _useCounter = 0;
-    std::uint64_t _hits = 0;
-    std::uint64_t _misses = 0;
 };
 
 } // namespace t3dsim::alpha

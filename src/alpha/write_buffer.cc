@@ -91,7 +91,6 @@ WriteBuffer::write(Cycles now, Addr pa, const void *src, std::size_t len,
             slot.tag == tag) {
             std::memcpy(slot.data.data() + off, src, len);
             slot.mask |= lineMask(off, len);
-            ++_merges;
             T3D_COUNT(_ctr, wbMerges);
             return _config.issueCycles;
         }
@@ -114,7 +113,6 @@ WriteBuffer::write(Cycles now, Addr pa, const void *src, std::size_t len,
         T3D_COUNT(_ctr, wbStalls);
         T3D_COUNT_ADD(_ctr, wbStallCycles, when - now);
     }
-    _stallCycles += when - now;
 
     Slot &slot = _slots.emplace_back(line, tag, lineMask(off, len), when);
     std::memcpy(slot.data.data() + off, src, len);

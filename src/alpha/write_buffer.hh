@@ -176,12 +176,6 @@ class WriteBuffer
     /** Attach (or detach, with nullptr) the node's event counters. */
     void setCounters(probes::PerfCounters *ctr) { _ctr = ctr; }
 
-    /** Total merges performed (statistic). */
-    std::uint64_t merges() const { return _merges; }
-
-    /** Total full-buffer stall cycles (statistic). */
-    Cycles stallCycles() const { return _stallCycles; }
-
     const Config &config() const { return _config; }
 
   private:
@@ -226,9 +220,6 @@ class WriteBuffer
     Cycles _earliestDue = 0;
 
     probes::PerfCounters *_ctr = nullptr;
-
-    std::uint64_t _merges = 0;
-    Cycles _stallCycles = 0;
 };
 
 } // namespace t3dsim::alpha

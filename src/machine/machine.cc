@@ -13,8 +13,8 @@ Machine::Machine(const MachineConfig &config)
       _barrier(config.numPes, config.shell.barrierLatencyCycles),
       _obs(probes::ObsConfig::fromEnv(config.observe))
 {
-    _countersOn = T3D_OBS_ENABLED && _obs.counters;
-    if (T3D_OBS_ENABLED && _obs.trace) {
+    _countersOn = _obs.counters;
+    if (_obs.trace) {
         _trace = std::make_unique<probes::TraceSink>(config.numPes,
                                                      _obs.traceEventCap);
     }

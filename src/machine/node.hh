@@ -109,9 +109,6 @@ class Node : public shell::RemoteMemoryPort, public alpha::DrainPort
      */
     Addr alloc(std::size_t bytes, std::size_t align = 8);
 
-    /** Reset the allocator to the segment base (test support). */
-    void resetAlloc() { _allocNext = allocBase; }
-
     /** @name shell::RemoteMemoryPort (network-side service) */
     /// @{
     Cycles serviceRead(Cycles arrive, Addr offset, void *dst,
@@ -296,9 +293,6 @@ class Node : public shell::RemoteMemoryPort, public alpha::DrainPort
                 if (entry.chan)
                     f(*entry.chan);
         }
-
-        /** Channels materialized so far. */
-        std::size_t channelCount() const { return _count; }
 
         /** Host bytes resident (self + tables + channels). */
         std::size_t residentBytes() const;

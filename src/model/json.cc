@@ -69,6 +69,37 @@ struct Parser
         return true;
     }
 
+    /** The four hex digits of a \\u escape, at pos. */
+    bool
+    parseHex4(unsigned &out)
+    {
+        if (pos + 4 > text.size())
+            return fail("truncated \\u escape");
+        out = 0;
+        for (int i = 0; i < 4; ++i) {
+            const char c = text[pos];
+            if (!std::isxdigit(static_cast<unsigned char>(c)))
+                return fail("bad hex digit in \\u escape");
+            out = out << 4 |
+                static_cast<unsigned>(c <= '9' ? c - '0'
+                                               : (c | 0x20) - 'a' + 10);
+            ++pos;
+        }
+        return true;
+    }
+
+    /** Code point @p cp as UTF-8: a lead byte, then 6-bit
+     *  continuation bytes high to low. */
+    static void
+    appendUtf8(std::string &out, unsigned cp)
+    {
+        static constexpr unsigned lead[] = {0x00, 0xc0, 0xe0, 0xf0};
+        const int tail = cp < 0x80 ? 0 : cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+        out.push_back(static_cast<char>(lead[tail] | cp >> 6 * tail));
+        for (int i = tail - 1; i >= 0; --i)
+            out.push_back(static_cast<char>(0x80 | (cp >> 6 * i & 0x3f)));
+    }
+
     bool
     parseString(std::string &out)
     {
@@ -96,15 +127,27 @@ struct Parser
               case 'r': out.push_back('\r'); break;
               case 't': out.push_back('\t'); break;
               case 'u': {
-                // The bench reports are ASCII; decode BMP escapes to
-                // the low byte and reject surrogate plumbing rather
-                // than carry a full UTF-16 decoder nobody feeds.
-                if (pos + 4 > text.size())
-                    return fail("truncated \\u escape");
-                const std::string hex = text.substr(pos, 4);
-                pos += 4;
-                out.push_back(static_cast<char>(
-                    std::strtoul(hex.c_str(), nullptr, 16) & 0xff));
+                // A code point past the BMP is a high surrogate
+                // escape followed by a low one (RFC 8259 §7). The
+                // result is stored as UTF-8, which sim::JsonWriter
+                // writes back unchanged.
+                unsigned cp = 0;
+                if (!parseHex4(cp))
+                    return false;
+                if (cp >= 0xdc00 && cp <= 0xdfff)
+                    return fail("lone low surrogate in \\u escape");
+                if (cp >= 0xd800 && cp <= 0xdbff) {
+                    unsigned lo = 0;
+                    if (text.compare(pos, 2, "\\u") != 0)
+                        return fail("lone high surrogate in \\u escape");
+                    pos += 2;
+                    if (!parseHex4(lo))
+                        return false;
+                    if (lo < 0xdc00 || lo > 0xdfff)
+                        return fail("lone high surrogate in \\u escape");
+                    cp = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
+                }
+                appendUtf8(out, cp);
                 break;
               }
               default:

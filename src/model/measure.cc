@@ -514,8 +514,7 @@ measureAll(std::string *error)
         Machine probe(countedConfig(2));
         if (!probe.countersEnabled()) {
             if (error)
-                *error = "perf counters are disabled (build with "
-                         "T3DSIM_COUNTERS=ON and do not set "
+                *error = "perf counters are disabled (do not set "
                          "T3DSIM_COUNTERS=0 in the environment)";
             return {};
         }

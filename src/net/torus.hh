@@ -88,16 +88,6 @@ class Torus
     std::uint32_t dimY() const { return _dy; }
     std::uint32_t dimZ() const { return _dz; }
 
-    /** Per-dimension hop counts of the src -> dst route. */
-    std::array<std::uint32_t, 3>
-    dimHops(PeId src, PeId dst) const
-    {
-        const Coord a = coordOf(src);
-        const Coord b = coordOf(dst);
-        return {ringDistance(a.x, b.x, _dx), ringDistance(a.y, b.y, _dy),
-                ringDistance(a.z, b.z, _dz)};
-    }
-
     /**
      * Observability hook: walk the dimension-order route from
      * @p src to @p dst and account each link traversed. Host-side

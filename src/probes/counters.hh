@@ -9,8 +9,8 @@
  * is null until the machine is constructed with
  * MachineConfig::observe.counters set (or T3DSIM_COUNTERS in the
  * environment). Bump sites go through the T3D_COUNT macros, so a
- * disabled run costs one predicted branch per site and a build with
- * -DT3DSIM_COUNTERS=OFF compiles the sites away entirely.
+ * disabled run costs one predicted branch per site. PerfCounters is
+ * the only event count: components keep no private tallies.
  *
  * Counters are host-side bookkeeping only: bumping them never reads
  * or advances a Clock, so enabling them cannot perturb simulated
@@ -191,31 +191,25 @@ struct ObsConfig
 
 /**
  * Counter bump macros. `ctr` is a (possibly null) PerfCounters
- * pointer; a null pointer or a -DT3DSIM_COUNTERS=OFF build makes the
- * bump vanish. Never touches simulated time.
+ * pointer; a null pointer makes the bump vanish. Never touches
+ * simulated time.
  */
-#ifdef T3DSIM_NO_COUNTERS
-#define T3D_OBS_ENABLED 0
-#else
-#define T3D_OBS_ENABLED 1
-#endif
-
 #define T3D_COUNT(ctr, field)                                               \
     do {                                                                    \
-        if (T3D_OBS_ENABLED && (ctr))                                       \
+        if (ctr)                                                            \
             ++(ctr)->field;                                                 \
     } while (0)
 
 #define T3D_COUNT_ADD(ctr, field, n)                                        \
     do {                                                                    \
-        if (T3D_OBS_ENABLED && (ctr))                                       \
+        if (ctr)                                                            \
             (ctr)->field += (n);                                            \
     } while (0)
 
 /** Guarded call on a (possibly null) TraceSink pointer. */
 #define T3D_TRACE(sink, call)                                               \
     do {                                                                    \
-        if (T3D_OBS_ENABLED && (sink))                                      \
+        if (sink)                                                           \
             (sink)->call;                                                   \
     } while (0)
 

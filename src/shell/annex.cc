@@ -28,7 +28,6 @@ AnnexFile::set(unsigned idx, const AnnexEntry &entry)
                  "annex entry 0 is hardwired to the local processor");
     _entries[idx] = entry;
     _programmed[idx] = true;
-    ++_updates;
 }
 
 const AnnexEntry &

@@ -66,9 +66,6 @@ class AnnexFile
     /** The node this file belongs to. */
     PeId localPe() const { return _localPe; }
 
-    /** Number of updates performed (statistic). */
-    std::uint64_t updates() const { return _updates; }
-
     /**
      * True if two distinct *programmed* entries (entry 0 counts as
      * programmed) currently name the same PE — the precondition for
@@ -83,7 +80,6 @@ class AnnexFile
     PeId _localPe;
     std::array<AnnexEntry, alpha::numAnnexRegs> _entries;
     std::array<bool, alpha::numAnnexRegs> _programmed{};
-    std::uint64_t _updates = 0;
 };
 
 } // namespace t3dsim::shell

@@ -81,7 +81,6 @@ class BarrierNetwork
     }
 
     std::uint32_t numPes() const { return _pes; }
-    Cycles latencyCycles() const { return _latency; }
 
     /** Host bytes resident for the aggregation tree. */
     std::size_t residentBytes() const;

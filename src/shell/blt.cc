@@ -36,7 +36,6 @@ BlockTransferEngine::BlockTransferEngine(const ShellConfig &config,
 Cycles
 BlockTransferEngine::invoke()
 {
-    ++_transfers;
     T3D_COUNT(_ctr, bltTransfers);
     const Cycles t0 = _core.clock().now();
     // The OS call serializes the processor: pending stores drain and
@@ -52,7 +51,6 @@ BlockTransferEngine::invoke()
     }
     if (_config.bltMaxInFlight > 0 &&
         _outstanding.size() >= _config.bltMaxInFlight) {
-        ++_engineStalls;
         T3D_COUNT(_ctr, bltEngineStalls);
         const Cycles free_at = _outstanding.front();
         T3D_TRACE(_trace, span(_localPe, "blt_engine_stall",

@@ -72,14 +72,6 @@ class BlockTransferEngine
     /** Stall the local clock until @p completion. */
     void wait(Cycles completion);
 
-    /** Completion time of the most recent transfer. */
-    Cycles lastCompletion() const { return _lastCompletion; }
-
-    std::uint64_t transfersStarted() const { return _transfers; }
-
-    /** Invocations that stalled waiting for a busy engine. */
-    std::uint64_t engineStalls() const { return _engineStalls; }
-
     /** Attach the local node's counters and the machine trace sink. */
     void
     setObservability(probes::PerfCounters *ctr, probes::TraceSink *trace)
@@ -104,8 +96,6 @@ class BlockTransferEngine
     MachinePort &_machine;
     alpha::AlphaCore &_core;
     Cycles _lastCompletion = 0;
-    std::uint64_t _transfers = 0;
-    std::uint64_t _engineStalls = 0;
 
     /** Completion times of transfers still streaming, sorted. The
      *  engine sustains bltMaxInFlight of them; invoking it past that

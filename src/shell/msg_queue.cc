@@ -49,7 +49,6 @@ MessageQueue::deliver(Cycles arrive, const std::uint64_t words[4])
             // charge is still pending), so demoting it again must not
             // double-count.
             demoted.spilled = true;
-            ++_spilled;
             T3D_COUNT(_ctr, msgSpills);
         }
         _spill.push_front(demoted);
@@ -60,14 +59,12 @@ MessageQueue::deliver(Cycles arrive, const std::uint64_t words[4])
         // Hardware segment full and the newcomer is youngest-or-tied:
         // system software parks it in the DRAM overflow region.
         entry.spilled = true;
-        ++_spilled;
         T3D_COUNT(_ctr, msgSpills);
         auto pos = std::upper_bound(_spill.begin(), _spill.end(), arrive,
                                     by_arrival);
         _spill.insert(pos, entry);
     }
 
-    ++_delivered;
     if (_onDeliver)
         _onDeliver();
 }

@@ -76,11 +76,6 @@ class MessageQueue
     /** Messages currently parked in the DRAM overflow region. */
     std::size_t spillDepth() const { return _spill.size(); }
 
-    /** Messages that ever entered the overflow region. */
-    std::uint64_t spilled() const { return _spilled; }
-
-    std::uint64_t delivered() const { return _delivered; }
-
     /**
      * Install a host-side hook fired after every deliver(). Used by
      * the SPMD executor to wake a parked receiver event-driven
@@ -129,8 +124,6 @@ class MessageQueue
     sim::RingBuffer<Entry> _hw;
     sim::RingBuffer<Entry> _spill;
 
-    std::uint64_t _delivered = 0;
-    std::uint64_t _spilled = 0;
     std::function<void()> _onDeliver;
 
     probes::PerfCounters *_ctr = nullptr;

@@ -20,11 +20,8 @@ PrefetchQueue::issue(PeId dst, Addr offset)
     // buffer instead of corrupting the FIFO: charge the spill cost
     // here and mark the slot so pop() charges it again.
     const bool spill = full();
-    if (spill) {
-        ++_spills;
+    if (spill)
         T3D_COUNT(_ctr, prefetchSpills);
-    }
-    ++_issued;
     T3D_COUNT(_ctr, prefetchIssues);
 
     Clock &clock = _core.clock();
@@ -75,7 +72,6 @@ std::uint64_t
 PrefetchQueue::pop()
 {
     T3D_FATAL_IF(_fifo.empty(), "pop from an empty prefetch queue");
-    ++_popped;
     T3D_COUNT(_ctr, prefetchDrains);
 
     Slot slot = _fifo.front();

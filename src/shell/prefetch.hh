@@ -73,12 +73,6 @@ class PrefetchQueue
         return outstanding() < _config.prefetchMbThreshold;
     }
 
-    std::uint64_t issued() const { return _issued; }
-    std::uint64_t popped() const { return _popped; }
-
-    /** Prefetches that overflowed into the spill buffer. */
-    std::uint64_t spills() const { return _spills; }
-
     /** Attach the local node's counters and the machine trace sink. */
     void
     setObservability(probes::PerfCounters *ctr, probes::TraceSink *trace)
@@ -105,9 +99,6 @@ class PrefetchQueue
 
     sim::RingBuffer<Slot> _fifo;
     Cycles _injectFree = 0;
-    std::uint64_t _issued = 0;
-    std::uint64_t _popped = 0;
-    std::uint64_t _spills = 0;
 
     probes::PerfCounters *_ctr = nullptr;
     probes::TraceSink *_trace = nullptr;

@@ -21,7 +21,6 @@ RemoteEngine::read(PeId dst, Addr offset, Addr pa, ReadMode mode)
 {
     T3D_ASSERT(dst != _localPe,
                "remote engine asked to read from the local node");
-    ++_readsPerformed;
     T3D_COUNT(_ctr, remoteReads);
 
     Clock &clock = _core.clock();

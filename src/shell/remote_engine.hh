@@ -86,12 +86,6 @@ class RemoteEngine
     /** Send a four-word user-level message (§7.3). */
     void sendMessage(PeId dst, const std::uint64_t words[4]);
 
-    /** Total writes injected (statistic). */
-    std::uint64_t writesInjected() const { return _writesInjected; }
-
-    /** Total remote reads performed (statistic). */
-    std::uint64_t readsPerformed() const { return _readsPerformed; }
-
     /** Attach the local node's counters and the machine trace sink. */
     void
     setObservability(probes::PerfCounters *ctr, probes::TraceSink *trace)
@@ -116,7 +110,6 @@ class RemoteEngine
     ArrivalLog _acks;
     Cycles _lastAck = 0;
     std::uint64_t _writesInjected = 0;
-    std::uint64_t _readsPerformed = 0;
 
     probes::PerfCounters *_ctr = nullptr;
     probes::TraceSink *_trace = nullptr;

@@ -79,7 +79,6 @@ class Histogram
     /** Inclusive lower edge of bucket @p i. */
     double bucketLo(std::size_t i) const;
 
-    std::size_t numBuckets() const { return _counts.size(); }
     std::uint64_t underflow() const { return _underflow; }
     std::uint64_t overflow() const { return _overflow; }
     std::uint64_t total() const { return _total; }

@@ -90,7 +90,6 @@ Proc::annexFor(PeId dst, shell::ReadMode mode)
         _annexCurrent = dst;
         _annexMode = mode;
         _annexValid = true;
-        ++_annexUpdates;
         return 1;
     }
 
@@ -104,7 +103,6 @@ Proc::annexFor(PeId dst, shell::ReadMode mode)
         _node.shell().annex().get(idx).readMode != mode) {
         _node.shell().setAnnex(idx, {dst, mode});
         _annexTable[idx] = dst;
-        ++_annexUpdates;
     } else {
         T3D_COUNT(_ctr, annexHits);
     }
@@ -198,7 +196,6 @@ Proc::writeU8(GlobalAddr dst, std::uint8_t value)
 void
 Proc::getU64(GlobalAddr src, Addr local_dst)
 {
-    ++_getsIssued;
     const unsigned idx = annexFor(src.pe());
 
     // The hardware FIFO holds 16; when full, drain before issuing.
@@ -232,7 +229,6 @@ Proc::drainGets()
 void
 Proc::putU64(GlobalAddr dst, std::uint64_t value)
 {
-    ++_putsIssued;
     auto &core = _node.core();
     if (dst.pe() == pe()) {
         core.chargeRegOps(2);
@@ -273,7 +269,6 @@ void
 Proc::storeBytesSignaling(GlobalAddr dst, const void *src,
                           std::size_t len)
 {
-    ++_storesIssued;
     auto &core = _node.core();
     auto &clock = _node.clock();
 
@@ -343,9 +338,8 @@ Proc::allStoreSync()
 StoreSyncAwaiter
 Proc::storeSync(std::uint64_t bytes)
 {
-    const std::uint64_t target = _storeWatermark + bytes;
-    advanceStoreWatermark(bytes);
-    return StoreSyncAwaiter{*this, target, /*amLog=*/false};
+    _storeWatermark += bytes;
+    return StoreSyncAwaiter{*this, _storeWatermark, /*amLog=*/false};
 }
 
 // ---------------------------------------------------------------------
@@ -680,7 +674,6 @@ Proc::amDeposit(PeId dst, std::uint64_t tag,
         base = amOverflowSlotAddr(flow.spillsClaimed %
                                   _config.amOverflowSlots);
         ++flow.spillsClaimed;
-        ++_amOverflows;
         T3D_COUNT(_ctr, amOverflows);
     } else {
         // An unspilled ticket owns its primary slot: its Q-th
@@ -758,7 +751,7 @@ Proc::amPoll()
         args[i] = core.loadU64(base + 16 + i * 8);
     core.storeU64(base, 0); // free the slot
     ++_amHead;
-    advanceAmWatermark(1);
+    ++_amWatermark;
     core.charge(_config.amDispatchOverheadCycles);
     _sched.amPublishDispatch(pe(), spilled);
 

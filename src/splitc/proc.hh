@@ -195,14 +195,6 @@ class Proc
     /** Charge @p cycles of local computation. */
     void compute(Cycles cycles) { _node.core().charge(cycles); }
 
-    /** @name Statistics */
-    /// @{
-    std::uint64_t annexUpdates() const { return _annexUpdates; }
-    std::uint64_t getsIssued() const { return _getsIssued; }
-    std::uint64_t putsIssued() const { return _putsIssued; }
-    std::uint64_t storesIssued() const { return _storesIssued; }
-    /// @}
-
     /** @name Internal (awaitables / scheduler) */
     /// @{
     Scheduler &scheduler() { return _sched; }
@@ -220,15 +212,6 @@ class Proc
      * scheduler's completeBarrier() wake.
      */
     void noteBarrierComplete();
-
-    /** Store-sync bookkeeping. */
-    std::uint64_t storeWatermark() const { return _storeWatermark; }
-    void advanceStoreWatermark(std::uint64_t b) { _storeWatermark += b; }
-    std::uint64_t amWatermark() const { return _amWatermark; }
-    void advanceAmWatermark(std::uint64_t n) { _amWatermark += n; }
-
-    /** Deposits this PE rerouted into a receiver's overflow ring. */
-    std::uint64_t amOverflows() const { return _amOverflows; }
     /// @}
 
     /**
@@ -275,7 +258,6 @@ class Proc
 
     /** HashedTable: mirror of table-managed entries (idx -> pe). */
     std::unordered_map<unsigned, PeId> _annexTable;
-    std::uint64_t _annexUpdates = 0;
     /// @}
 
     /** get: target local addresses, FIFO-parallel to the prefetch
@@ -310,14 +292,7 @@ class Proc
      *  the oldest undispatched spill. */
     std::uint64_t _amSpillHead = 0;
 
-    /** Deposits rerouted into a receiver's overflow ring. */
-    std::uint64_t _amOverflows = 0;
-
     std::unordered_map<std::uint64_t, AmHandler> _amHandlers;
-
-    std::uint64_t _getsIssued = 0;
-    std::uint64_t _putsIssued = 0;
-    std::uint64_t _storesIssued = 0;
 };
 
 } // namespace t3dsim::splitc

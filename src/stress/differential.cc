@@ -114,8 +114,13 @@ runSaturate()
     mc.shell.msgQueueCapacity = 64;
 
     machine::Machine m(mc);
+    if (!m.countersEnabled()) {
+        rep.error = "perf counters are disabled (do not set "
+                    "T3DSIM_COUNTERS=0 in the environment)";
+        return rep;
+    }
     constexpr std::uint64_t tag = 20;
-    std::uint64_t handled = 0, received = 0, overflows = 0;
+    std::uint64_t handled = 0, received = 0;
 
     const auto finish = splitc::runSpmd(m, [&](Proc &p) -> ProcTask {
         p.registerAmHandler(
@@ -130,7 +135,6 @@ runSaturate()
                 p.amDeposit(1, tag, {i, 0, 0, 0});
             for (std::uint64_t i = 0; i < rep.msgsSent; ++i)
                 p.sendMessage(1, {i, 0, 0, 0});
-            overflows = p.amOverflows();
             co_await p.barrier();
         } else {
             co_await p.barrier();
@@ -151,8 +155,8 @@ runSaturate()
     rep.completed = true;
     rep.amHandled = handled;
     rep.msgsReceived = received;
-    rep.amOverflows = overflows;
-    rep.msgSpills = m.node(1).shell().messages().spilled();
+    rep.amOverflows = m.node(0).counters().amOverflows;
+    rep.msgSpills = m.node(1).counters().msgSpills;
     rep.receiverFinish = finish.size() > 1 ? finish[1] : 0;
     return rep;
 }

@@ -59,10 +59,14 @@ SeedReport runDifferential(const StressConfig &cfg);
  * The --saturate demo: a deliberately overloading program — an AM
  * flood past the primary queue and a hardware-message flood past a
  * shrunken msgQueueCapacity — that must complete with modeled spill
- * costs instead of aborting (the tentpole acceptance shape).
+ * costs instead of aborting (the tentpole acceptance shape). The
+ * overflow and spill counts are read from the nodes' PerfCounters.
  */
 struct SaturateReport
 {
+    /** Why the demo refused to run (counters disabled); empty if it
+     *  ran. */
+    std::string error;
     bool completed = false;
     std::uint64_t amDeposits = 0;
     std::uint64_t amOverflows = 0; ///< rerouted to the overflow ring

@@ -46,7 +46,7 @@ TEST(Core, LoadHitCostsOneCycle)
     const Cycles t0 = n.clock.now();
     EXPECT_EQ(n.core.loadU64(0x1000), 77u);
     EXPECT_EQ(n.clock.now() - t0, 1u);
-    EXPECT_EQ(n.core.cacheHits(), 1u);
+    EXPECT_EQ(n.counters.l1Hits, 1u);
 }
 
 TEST(Core, ReadAllocatePullsWholeLine)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Test fixture: a standalone local Alpha node (no shell) with a
- * simple DRAM-backed drain port, T3D-calibrated by default.
+ * simple DRAM-backed drain port, T3D-calibrated by default. Its
+ * components count events into `counters`.
  */
 
 #ifndef T3DSIM_TESTS_ALPHA_LOCAL_NODE_HH
@@ -13,6 +14,7 @@
 #include "alpha/write_buffer.hh"
 #include "mem/dram.hh"
 #include "mem/storage.hh"
+#include "probes/counters.hh"
 #include "sim/clock.hh"
 
 namespace t3dsim::testing
@@ -30,6 +32,10 @@ class LocalNode : public alpha::DrainPort
           core(alpha::CoreConfig{}, clock, tlb, dcache, wb, dram,
                storage)
     {
+        tlb.setCounters(&counters);
+        wb.setCounters(&counters);
+        dram.setCounters(&counters);
+        core.setCounters(&counters);
     }
 
     DrainResult
@@ -47,6 +53,7 @@ class LocalNode : public alpha::DrainPort
         storage.writeMasked(pa, data, byte_mask, alpha::wbLineBytes);
     }
 
+    probes::PerfCounters counters;
     Clock clock;
     mem::Storage storage;
     mem::DramController dram;

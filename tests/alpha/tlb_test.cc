@@ -13,6 +13,7 @@
 
 #include "alpha/address.hh"
 #include "alpha/tlb.hh"
+#include "probes/counters.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
@@ -22,20 +23,32 @@ namespace
 using namespace t3dsim;
 using alpha::Tlb;
 
+/** A TLB counting its misses into `counters`. */
+struct CountedTlb : Tlb
+{
+    explicit CountedTlb(const Config &config)
+        : Tlb(config)
+    {
+        setCounters(&counters);
+    }
+
+    probes::PerfCounters counters;
+};
+
 TEST(Tlb, FirstAccessMisses)
 {
-    Tlb tlb({4, 8 * KiB, 35});
+    CountedTlb tlb({4, 8 * KiB, 35});
     EXPECT_EQ(tlb.access(0), 35u);
-    EXPECT_EQ(tlb.misses(), 1u);
+    EXPECT_EQ(tlb.counters.tlbMisses, 1u);
 }
 
 TEST(Tlb, SamePageHits)
 {
-    Tlb tlb({4, 8 * KiB, 35});
+    CountedTlb tlb({4, 8 * KiB, 35});
     tlb.access(0);
     EXPECT_EQ(tlb.access(8 * KiB - 8), 0u);
     EXPECT_EQ(tlb.access(100), 0u);
-    EXPECT_EQ(tlb.hits(), 2u);
+    EXPECT_EQ(tlb.counters.tlbMisses, 1u) << "one miss, two hits";
 }
 
 TEST(Tlb, DifferentPageMisses)
@@ -58,34 +71,34 @@ TEST(Tlb, LruReplacement)
 
 TEST(Tlb, CapacityCoversWorkingSet)
 {
-    Tlb tlb({32, 8 * KiB, 35});
+    CountedTlb tlb({32, 8 * KiB, 35});
     // 32 pages: exactly covered.
     for (int round = 0; round < 3; ++round) {
         for (Addr p = 0; p < 32; ++p)
             tlb.access(p * 8 * KiB);
     }
-    EXPECT_EQ(tlb.misses(), 32u) << "only cold misses";
+    EXPECT_EQ(tlb.counters.tlbMisses, 32u) << "only cold misses";
 }
 
 TEST(Tlb, ThrashingBeyondCapacity)
 {
-    Tlb tlb({32, 8 * KiB, 35});
+    CountedTlb tlb({32, 8 * KiB, 35});
     // 64 pages round-robin with LRU: every access misses after warmup.
     for (int round = 0; round < 2; ++round) {
         for (Addr p = 0; p < 64; ++p)
             tlb.access(p * 8 * KiB);
     }
-    EXPECT_EQ(tlb.misses(), 128u);
+    EXPECT_EQ(tlb.counters.tlbMisses, 128u);
 }
 
 TEST(Tlb, HugePagesNeverThrash)
 {
     // The T3D configuration: 32 entries of 4 MB cover 128 MB — the
     // whole node memory, hence no TLB inflection in Figure 1 (§2.2).
-    Tlb tlb({32, 4 * MiB, 35});
+    CountedTlb tlb({32, 4 * MiB, 35});
     for (Addr a = 0; a < 128 * MiB; a += 16 * KiB)
         tlb.access(a);
-    EXPECT_EQ(tlb.misses(), 32u) << "one cold miss per huge page";
+    EXPECT_EQ(tlb.counters.tlbMisses, 32u) << "one cold miss per huge page";
     // Second sweep: all hits.
     for (Addr a = 0; a < 128 * MiB; a += 16 * KiB)
         EXPECT_EQ(tlb.access(a), 0u);
@@ -116,7 +129,7 @@ struct ReferenceLru
     std::uint64_t pageBytes;
     Cycles missPenalty;
     std::vector<std::uint64_t> pages{};
-    std::uint64_t hits = 0, misses = 0;
+    std::uint64_t misses = 0;
 
     Cycles
     access(Addr va)
@@ -129,7 +142,8 @@ struct ReferenceLru
         else if (pages.size() == entries)
             pages.pop_back();
         pages.insert(pages.begin(), page);
-        ++(hit ? hits : misses);
+        if (!hit)
+            ++misses;
         return hit ? 0 : missPenalty;
     }
 };
@@ -144,7 +158,7 @@ TEST(Tlb, MatchesReferenceLruOnMixedLocalAnnexedTraces)
     // LRU end, where a stale use stamp would pick the wrong victim.
     for (std::uint64_t seed : {1u, 2u, 3u, 42u}) {
         Rng rng(seed);
-        Tlb tlb({32, 8 * KiB, 35});
+        CountedTlb tlb({32, 8 * KiB, 35});
         ReferenceLru ref{32, 8 * KiB, 35};
         const auto touch = [&](std::uint64_t page) {
             const Addr base = page < 8
@@ -164,8 +178,7 @@ TEST(Tlb, MatchesReferenceLruOnMixedLocalAnnexedTraces)
             for (std::uint64_t k = 1 + rng.nextBounded(40); k > 0; --k)
                 touch(rng.nextBounded(48));
         }
-        EXPECT_EQ(tlb.hits(), ref.hits) << "seed " << seed;
-        EXPECT_EQ(tlb.misses(), ref.misses) << "seed " << seed;
+        EXPECT_EQ(tlb.counters.tlbMisses, ref.misses) << "seed " << seed;
         EXPECT_GT(ref.misses, 32u) << "seed " << seed << ": no eviction";
     }
 }

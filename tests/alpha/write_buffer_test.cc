@@ -12,6 +12,7 @@
 #include "local_node.hh"
 #include "mem/dram.hh"
 #include "mem/storage.hh"
+#include "probes/counters.hh"
 #include "sim/types.hh"
 
 namespace
@@ -55,8 +56,11 @@ class TestPort : public DrainPort
 
 struct WbTest : ::testing::Test
 {
+    WbTest() { wb.setCounters(&counters); }
+
     TestPort port;
     WriteBuffer wb{WriteBuffer::Config{}, port};
+    probes::PerfCounters counters;
 };
 
 TEST_F(WbTest, AcceptCostIsIssueCycles)
@@ -71,7 +75,7 @@ TEST_F(WbTest, SameLineStoresMerge)
     std::uint64_t v = 1;
     wb.write(0, 0x100, &v, 8);
     wb.write(3, 0x108, &v, 8); // same 32-byte line, within hold-off
-    EXPECT_EQ(wb.merges(), 1u);
+    EXPECT_EQ(counters.wbMerges, 1u);
     EXPECT_EQ(wb.occupancy(3), 1u);
 }
 
@@ -80,7 +84,7 @@ TEST_F(WbTest, DifferentLinesTakeSlots)
     std::uint64_t v = 1;
     wb.write(0, 0x100, &v, 8);
     wb.write(3, 0x200, &v, 8);
-    EXPECT_EQ(wb.merges(), 0u);
+    EXPECT_EQ(counters.wbMerges, 0u);
     EXPECT_EQ(wb.occupancy(3), 2u);
 }
 
@@ -91,7 +95,7 @@ TEST_F(WbTest, MergeWindowExpires)
     // After the hold-off the entry has issued: same-line store gets
     // a fresh slot instead of merging.
     wb.write(20, 0x108, &v, 8);
-    EXPECT_EQ(wb.merges(), 0u);
+    EXPECT_EQ(counters.wbMerges, 0u);
 }
 
 TEST_F(WbTest, FullBufferStalls)
@@ -105,7 +109,7 @@ TEST_F(WbTest, FullBufferStalls)
     // Fifth store must wait for a retirement.
     charged = wb.write(12, 0x100 + 0x40 * 4, &v, 8);
     EXPECT_GT(charged, 3u);
-    EXPECT_GT(wb.stallCycles(), 0u);
+    EXPECT_GT(counters.wbStallCycles, 0u);
 }
 
 TEST_F(WbTest, DataInvisibleUntilCommit)
@@ -224,7 +228,7 @@ TEST_F(WbTest, CommitWritesOnlyMaskedBytes)
         node.core.storeU64(base + 8 * k, v);
         std::memcpy(expect + 8 * k, &v, sizeof(v));
     }
-    EXPECT_EQ(node.wb.merges(), 3u) << "four U64 stores, one entry";
+    EXPECT_EQ(node.counters.wbMerges, 3u) << "four U64 stores, one entry";
 
     const std::uint32_t w = 0xdeadbeef;
     node.core.storeU32(base + 32 + 28, w);

@@ -47,8 +47,7 @@ TEST(AppsDeterminism, CountersDoNotPerturbTiming)
             const std::string label = app.name + "/" + app.rungs[i];
             const apps::RungResult a = app.run(i, on, {});
             const apps::RungResult b = app.run(i, off, {});
-            // A -DT3DSIM_COUNTERS=OFF build compiles counting out.
-            EXPECT_EQ(a.countersValid, bool(T3D_OBS_ENABLED)) << label;
+            EXPECT_TRUE(a.countersValid) << label;
             EXPECT_FALSE(b.countersValid) << label;
             EXPECT_EQ(a.elapsed, b.elapsed) << label;
             EXPECT_EQ(a.checksum, b.checksum) << label;

@@ -96,14 +96,9 @@ TEST(QcdRun, CountersCaptureTheExchange)
     EXPECT_EQ(off.elapsed, get.elapsed);
     EXPECT_EQ(off.checksum, get.checksum);
 
-#if T3D_OBS_ENABLED
     ASSERT_TRUE(get.countersValid);
     EXPECT_GT(get.counters.prefetchIssues, 0u);
     EXPECT_GT(get.counters.barriers, 0u);
-#else
-    // Compiled out: asking for counters yields none.
-    EXPECT_FALSE(get.countersValid);
-#endif
 }
 
 TEST(QcdRun, BulkVariantUsesBulkMachinery)
@@ -116,12 +111,10 @@ TEST(QcdRun, BulkVariantUsesBulkMachinery)
     EXPECT_TRUE(r.converged);
     EXPECT_GT(r.elapsed, 0u);
 
-#if T3D_OBS_ENABLED
     ASSERT_TRUE(r.countersValid);
     // Small faces ride the prefetch pipeline, large ones the BLT;
     // either way the bulk path must not fall back to per-word reads.
     EXPECT_GT(r.counters.prefetchIssues + r.counters.bltTransfers, 0u);
-#endif
 }
 
 } // namespace

@@ -121,9 +121,11 @@ TEST_F(BltTest, StridedWriteScatters)
 
 TEST_F(BltTest, TransferCountStatistic)
 {
+    probes::PerfCounters ctr;
+    n0.shell().blt().setObservability(&ctr, nullptr);
     n0.shell().blt().startRead(1, 0, 0x1000, 64);
     n0.shell().blt().startWrite(1, 0, 0x1000, 64);
-    EXPECT_EQ(n0.shell().blt().transfersStarted(), 2u);
+    EXPECT_EQ(ctr.bltTransfers, 2u);
 }
 
 } // namespace

@@ -136,15 +136,17 @@ TEST_F(PrefetchTest, OutstandingCountAndMbThreshold)
 TEST_F(PrefetchTest, OverflowSpillsInsteadOfAborting)
 {
     auto &pq = n0.shell().prefetch();
+    probes::PerfCounters ctr;
+    pq.setObservability(&ctr, nullptr);
     for (int i = 0; i < 16; ++i)
         n0.fetchHint(va(i));
     EXPECT_TRUE(pq.full());
-    EXPECT_EQ(pq.spills(), 0u);
+    EXPECT_EQ(ctr.prefetchSpills, 0u);
 
     // The 17th issue overflows the hardware slots: it is spilled to
     // the DRAM-side buffer rather than corrupting the FIFO.
     n0.fetchHint(va(16));
-    EXPECT_EQ(pq.spills(), 1u);
+    EXPECT_EQ(ctr.prefetchSpills, 1u);
     EXPECT_EQ(pq.outstanding(), 17u);
 
     // FIFO order and binding semantics survive the spill, and every

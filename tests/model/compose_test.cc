@@ -93,9 +93,7 @@ TEST(RoundTrip, FittedModelPredictsAppLadders)
 {
     std::string error;
     const std::vector<Sweep> sweeps = measureAll(&error);
-#if T3D_OBS_ENABLED
     ASSERT_FALSE(sweeps.empty()) << error;
-#endif
     const CostModel m = fitCostModel(sweeps);
 
     apps::qcd::Config qcfg; // 4^4 sites, 2 sweeps — fast
@@ -114,14 +112,12 @@ TEST(RoundTrip, FittedModelPredictsAppLadders)
     for (const LadderPoint &pt : points)
         EXPECT_GT(pt.result.elapsed, 0u) << pt.sig.rung;
 
-#if T3D_OBS_ENABLED
     // The error band needs counter signatures (and a fitted model).
     for (const ErrorRow &row : report.rows) {
         EXPECT_LT(std::abs(row.errorPct), 15.0)
             << row.workload << "/" << row.rung;
     }
     EXPECT_LT(report.medianAbsErrorPct, 10.0);
-#endif
 }
 
 /** The runner hands each rung the caller's machine, keeps every

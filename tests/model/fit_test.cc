@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 
 #include "model/compose.hh"
@@ -179,17 +180,17 @@ TEST(FitCostModel, ClampedTermFlagsNonzeroCount)
 TEST(FitCostModel, RealSweepsFitWithinResidualBand)
 {
     std::string error;
-    const std::vector<Sweep> sweeps = measureAll(&error);
-#if T3D_OBS_ENABLED
-    ASSERT_FALSE(sweeps.empty()) << error;
-#else
-    // The sweeps price counters: a build without them refuses to
-    // measure, and the fit keeps its assumed coefficients.
-    EXPECT_TRUE(sweeps.empty());
-    EXPECT_NE(error.find("perf counters are disabled"),
-              std::string::npos)
+    // The sweeps price counters: with counters forced off by the
+    // environment they refuse to measure and name the variable.
+    setenv("T3DSIM_COUNTERS", "0", 1);
+    EXPECT_TRUE(measureAll(&error).empty());
+    unsetenv("T3DSIM_COUNTERS");
+    EXPECT_NE(error.find("T3DSIM_COUNTERS=0"), std::string::npos)
         << error;
-#endif
+
+    error.clear();
+    const std::vector<Sweep> sweeps = measureAll(&error);
+    ASSERT_FALSE(sweeps.empty()) << error;
 
     FitReport report;
     const CostModel m = fitCostModel(sweeps, &report);
@@ -209,14 +210,12 @@ TEST(FitCostModel, RealSweepsFitWithinResidualBand)
         EXPECT_LT(t.quality.medianRelErr, 0.05) << t.name;
     }
 
-#if T3D_OBS_ENABLED
     // Fig. 8: BLT bandwidth near 1 cycle/byte after startup, and a
     // solved crossover in the thousands of bytes.
     EXPECT_GT(m.bltRead.slope, 0.9);
     EXPECT_LT(m.bltRead.slope, 1.4);
     EXPECT_GT(m.bltCrossoverBytes, 2000.0);
     EXPECT_LT(m.bltCrossoverBytes, 20000.0);
-#endif
 
     // No negative prices survive fitting.
     for (const CostTerm &t : m.terms)
@@ -228,11 +227,7 @@ TEST(ModelJson, SweepAndModelRoundTrip)
 {
     std::string error;
     const std::vector<Sweep> sweeps = measureAll(&error);
-#if T3D_OBS_ENABLED
     ASSERT_FALSE(sweeps.empty()) << error;
-#endif
-    // Without counters the sweeps are empty and the model is the
-    // assumed one; both must still survive the round trip.
 
     std::ostringstream ss;
     writeSweepsJson(ss, sweeps);

@@ -30,6 +30,11 @@ TEST(Json, ParsesScalars)
     EXPECT_FALSE(Json::parse("false").boolean());
     EXPECT_DOUBLE_EQ(Json::parse("-12.5e2").number(), -1250.0);
     EXPECT_EQ(Json::parse("\"a\\n\\\"b\\\"\"").str(), "a\n\"b\"");
+    // \u escapes decode to UTF-8, a surrogate pair to one code point.
+    EXPECT_EQ(Json::parse(R"("\u0041\u00e9")").str(), "A\xc3\xa9");
+    EXPECT_EQ(Json::parse(R"("\u4e2d")").str(), "\xe4\xb8\xad");
+    EXPECT_EQ(Json::parse(R"("\ud83d\ude00")").str(),
+              "\xf0\x9f\x98\x80");
 }
 
 TEST(Json, ParsesNestedStructure)
@@ -58,7 +63,11 @@ TEST(Json, RejectsMalformedInput)
              // Numbers outside RFC 8259's grammar that strtod takes.
              "-nan", "nan", "Infinity", "-Infinity", "inf", "0x10",
              "{\"pes\":0x10}", "+1", "01", "-01", ".5", "1.", "1.e5",
-             "1e", "1e+", "-", "[-]", std::string(200000, '[')}) {
+             "1e", "1e+", "-", "[-]",
+             // \u needs four hex digits, and a surrogate its partner.
+             R"("\uzzzz")", R"("\u12")", R"("\u00g1")", R"("\u+123")",
+             R"("\ud83d")", R"("\ud83dx")", R"("\ud83d\u0041")",
+             R"("\ude00")", std::string(200000, '[')}) {
         std::string error;
         const Json doc = Json::parse(bad, &error);
         EXPECT_TRUE(doc.isNull()) << bad;

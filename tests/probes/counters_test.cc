@@ -204,8 +204,6 @@ runMicroProgram(Machine &m)
     });
 }
 
-#if T3D_OBS_ENABLED
-
 TEST(Counters, MachineRunBumpsShellCounters)
 {
     MachineConfig config = MachineConfig::t3d(2);
@@ -237,8 +235,6 @@ TEST(Counters, MachineRunBumpsShellCounters)
     m.writeCounterJson(os);
     EXPECT_NE(os.str().find("\"torus\""), std::string::npos);
 }
-
-#endif // T3D_OBS_ENABLED
 
 TEST(Counters, DisabledMachineStaysSilent)
 {

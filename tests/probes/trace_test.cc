@@ -78,8 +78,6 @@ TEST(Trace, EventCapCountsDrops)
     EXPECT_NE(os.str().find("\"droppedEvents\": 1"), std::string::npos);
 }
 
-#if T3D_OBS_ENABLED
-
 TEST(Trace, MachineMicroRunProducesLoadableTrace)
 {
     MachineConfig config = MachineConfig::t3d(2);
@@ -135,7 +133,5 @@ TEST(Trace, MachineMicroRunProducesLoadableTrace)
     m2.writeTraceJson(os2);
     EXPECT_EQ(s, os2.str());
 }
-
-#endif // T3D_OBS_ENABLED
 
 } // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "machine/machine.hh"
+#include "probes/counters.hh"
 #include "shell/annex.hh"
 #include "sim/logging.hh"
 
@@ -46,11 +48,16 @@ TEST(Annex, SetAndGet)
 
 TEST(Annex, UpdateCount)
 {
-    AnnexFile annex(0);
-    annex.set(1, {1, ReadMode::Uncached});
-    annex.set(1, {2, ReadMode::Uncached});
-    annex.set(2, {3, ReadMode::Uncached});
-    EXPECT_EQ(annex.updates(), 3u);
+    // Updates are counted where the processor pays for them, in
+    // Shell::setAnnex.
+    machine::Machine m(machine::MachineConfig::t3d(4));
+    auto &shell = m.node(0).shell();
+    probes::PerfCounters ctr;
+    shell.setObservability(&ctr, nullptr);
+    shell.setAnnex(1, {1, ReadMode::Uncached});
+    shell.setAnnex(1, {2, ReadMode::Uncached});
+    shell.setAnnex(2, {3, ReadMode::Uncached});
+    EXPECT_EQ(ctr.annexFaults, 3u);
 }
 
 TEST(Annex, SynonymDetection)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "probes/counters.hh"
 #include "shell/msg_queue.hh"
 #include "sim/logging.hh"
 
@@ -17,8 +18,11 @@ using shell::ShellConfig;
 
 struct MsgQueueTest : ::testing::Test
 {
+    MsgQueueTest() { q.setObservability(&counters, nullptr, 0); }
+
     ShellConfig cfg;
     MessageQueue q{cfg};
+    probes::PerfCounters counters;
 
     void
     deliver(Cycles when, std::uint64_t w0)
@@ -92,7 +96,7 @@ TEST_F(MsgQueueTest, DeliveredCounter)
 {
     deliver(1, 1);
     deliver(2, 2);
-    EXPECT_EQ(q.delivered(), 2u);
+    EXPECT_EQ(q.depth(), 2u);
 }
 
 // ---------------------------------------------------------------------
@@ -110,7 +114,7 @@ TEST_F(MsgQueueSpillTest, DrainingAnExactlyFullQueueCostsNoSpill)
     for (int i = 0; i < 4; ++i)
         deliver(100 * (i + 1), std::uint64_t(i));
     EXPECT_EQ(q.depth(), 4u);
-    EXPECT_EQ(q.spilled(), 0u);
+    EXPECT_EQ(counters.msgSpills, 0u);
     EXPECT_EQ(q.spillDepth(), 0u);
 
     Cycles now = 0;
@@ -131,7 +135,7 @@ TEST_F(MsgQueueSpillTest, OverflowSpillsAndChargesDrainCost)
     for (int i = 0; i < 6; ++i)
         deliver(100 * (i + 1), std::uint64_t(i));
     EXPECT_EQ(q.depth(), 6u);
-    EXPECT_EQ(q.spilled(), 2u);
+    EXPECT_EQ(counters.msgSpills, 2u);
     EXPECT_EQ(q.spillDepth(), 2u);
 
     Cycles now = 0;
@@ -146,7 +150,7 @@ TEST_F(MsgQueueSpillTest, OverflowSpillsAndChargesDrainCost)
         now = done;
     }
     EXPECT_EQ(q.spillDepth(), 0u);
-    EXPECT_EQ(q.spilled(), 2u) << "historical count survives draining";
+    EXPECT_EQ(counters.msgSpills, 2u) << "historical count survives draining";
 }
 
 TEST_F(MsgQueueSpillTest, EarlyArrivalDemotesYoungestToSpill)
@@ -158,7 +162,7 @@ TEST_F(MsgQueueSpillTest, EarlyArrivalDemotesYoungestToSpill)
         deliver(100 * (i + 1), std::uint64_t(i)); // arrivals 100..400
     deliver(50, 99);
     EXPECT_EQ(q.headArrival().value(), 50u);
-    EXPECT_EQ(q.spilled(), 1u);
+    EXPECT_EQ(counters.msgSpills, 1u);
 
     const std::uint64_t order[5] = {99, 0, 1, 2, 3};
     Cycles now = 0;
@@ -182,11 +186,11 @@ TEST_F(MsgQueueSpillTest, RedemotedRefillCountsOneSpillAndOneDrain)
     // counter and the drain charge must both stay at one.
     for (int i = 0; i < 5; ++i)
         deliver(10 * (i + 1), std::uint64_t(i)); // arrivals 10..50
-    EXPECT_EQ(q.spilled(), 1u);
+    EXPECT_EQ(counters.msgSpills, 1u);
     auto [m0, d0] = q.dequeue(0, false); // 10 out; 50 refills
     EXPECT_EQ(m0.words[0], 0u);
     deliver(5, 99); // demotes the refilled 50 again
-    EXPECT_EQ(q.spilled(), 1u) << "re-demotion must not double-count";
+    EXPECT_EQ(counters.msgSpills, 1u) << "re-demotion must not double-count";
     EXPECT_EQ(q.spillDepth(), 1u);
 
     const std::uint64_t order[5] = {99, 1, 2, 3, 4};
@@ -201,7 +205,7 @@ TEST_F(MsgQueueSpillTest, RedemotedRefillCountsOneSpillAndOneDrain)
         EXPECT_EQ(done, expect) << "message " << i;
         now = done;
     }
-    EXPECT_EQ(q.spilled(), 1u);
+    EXPECT_EQ(counters.msgSpills, 1u);
 }
 
 TEST(MsgQueueConfig, ZeroCapacityIsDiagnosed)

@@ -189,11 +189,12 @@ TEST(Am, WrapAroundQueue)
 
 TEST(Am, OverflowSpillsToOverflowRing)
 {
-    Machine m(MachineConfig::t3d(2));
+    MachineConfig mc = MachineConfig::t3d(2);
+    mc.observe.counters = true;
+    Machine m(mc);
     splitc::SplitcConfig cfg;
     cfg.amQueueSlots = 4;
     int handled = 0;
-    std::uint64_t overflows = 0;
     runSpmd(
         m,
         [&](Proc &p) -> ProcTask {
@@ -208,7 +209,6 @@ TEST(Am, OverflowSpillsToOverflowRing)
                 // overflow ring instead of aborting the run.
                 for (int i = 0; i < 10; ++i)
                     p.amDeposit(1, tagAdd, {std::uint64_t(i), 0, 0, 0});
-                overflows = p.amOverflows();
                 co_await p.barrier();
             } else {
                 co_await p.barrier();
@@ -219,7 +219,7 @@ TEST(Am, OverflowSpillsToOverflowRing)
         },
         cfg);
     EXPECT_EQ(handled, 10);
-    EXPECT_EQ(overflows, 6u);
+    EXPECT_EQ(m.node(0).counters().amOverflows, 6u);
 }
 
 TEST(Am, OverflowDrainPaysAnInterruptPerSpilledMessage)

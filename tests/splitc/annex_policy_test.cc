@@ -55,32 +55,32 @@ roundRobinReadCost(AnnexPolicy policy, unsigned targets, int rounds)
 TEST(AnnexPolicy, SingleReloadUpdatesPerTargetChange)
 {
     Machine m(MachineConfig::t3d(4));
-    std::uint64_t updates = 0;
+    probes::PerfCounters ctr;
+    m.node(0).shell().setObservability(&ctr, nullptr);
     splitc::runSpmd(m, [&](Proc &p) -> ProcTask {
         if (p.pe() == 0) {
             // Alternating targets: one update per access.
             for (int i = 0; i < 10; ++i)
                 p.readU64(GlobalAddr::make(1 + (i % 2), 0x30000));
-            updates = p.annexUpdates();
         }
         co_return;
     });
-    EXPECT_EQ(updates, 10u);
+    EXPECT_EQ(ctr.annexFaults, 10u);
 }
 
 TEST(AnnexPolicy, SingleReloadSkipsSameTarget)
 {
     Machine m(MachineConfig::t3d(4));
-    std::uint64_t updates = 0;
+    probes::PerfCounters ctr;
+    m.node(0).shell().setObservability(&ctr, nullptr);
     splitc::runSpmd(m, [&](Proc &p) -> ProcTask {
         if (p.pe() == 0) {
             for (int i = 0; i < 10; ++i)
                 p.readU64(GlobalAddr::make(1, 0x30000 + 8 * i));
-            updates = p.annexUpdates();
         }
         co_return;
     });
-    EXPECT_EQ(updates, 1u) << "same processor: annex reused";
+    EXPECT_EQ(ctr.annexFaults, 1u) << "same processor: annex reused";
 }
 
 TEST(AnnexPolicy, HashedTableUpdatesOncePerTarget)
@@ -88,7 +88,8 @@ TEST(AnnexPolicy, HashedTableUpdatesOncePerTarget)
     Machine m(MachineConfig::t3d(8));
     SplitcConfig cfg;
     cfg.annexPolicy = AnnexPolicy::HashedTable;
-    std::uint64_t updates = 0;
+    probes::PerfCounters ctr;
+    m.node(0).shell().setObservability(&ctr, nullptr);
     splitc::runSpmd(
         m,
         [&](Proc &p) -> ProcTask {
@@ -97,12 +98,11 @@ TEST(AnnexPolicy, HashedTableUpdatesOncePerTarget)
                     for (PeId t = 1; t < 8; ++t)
                         p.readU64(GlobalAddr::make(t, 0x30000));
                 }
-                updates = p.annexUpdates();
             }
             co_return;
         },
         cfg);
-    EXPECT_EQ(updates, 7u) << "one programming per distinct target";
+    EXPECT_EQ(ctr.annexFaults, 7u) << "one programming per distinct target";
 }
 
 TEST(AnnexPolicy, HashedTableNeverCreatesSynonyms)

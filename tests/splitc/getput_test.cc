@@ -172,19 +172,18 @@ TEST_F(GetPutTest, SyncIsIdempotent)
 
 TEST_F(GetPutTest, GetStatisticsCount)
 {
-    std::uint64_t gets = 0, puts = 0;
+    probes::PerfCounters ctr;
+    m.node(0).shell().setObservability(&ctr, nullptr);
     runSpmd(m, [&](Proc &p) -> ProcTask {
         if (p.pe() == 0) {
             p.getU64(GlobalAddr::make(1, 0x30000), 0x10000);
             p.putU64(GlobalAddr::make(1, 0x40000), 1);
             p.sync();
-            gets = p.getsIssued();
-            puts = p.putsIssued();
         }
         co_return;
     });
-    EXPECT_EQ(gets, 1u);
-    EXPECT_EQ(puts, 1u);
+    EXPECT_EQ(ctr.prefetchIssues, 1u) << "one get";
+    EXPECT_EQ(ctr.remoteWriteLines, 1u) << "one put";
 }
 
 TEST(GetThenBulkGet, EachLandsInItsOwnTarget)

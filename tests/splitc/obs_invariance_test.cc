@@ -171,8 +171,6 @@ TEST(ObsInvariance, MixedShellTrafficIdentical)
     EXPECT_EQ(off, on);
 }
 
-#if T3D_OBS_ENABLED
-
 TEST(ObsInvariance, ObservedRunActuallyRecorded)
 {
     // Guard against the invariance tests passing vacuously because
@@ -191,7 +189,5 @@ TEST(ObsInvariance, ObservedRunActuallyRecorded)
     EXPECT_GT(m.totalCounters().barriers, 0u);
     EXPECT_GT(m.trace()->eventCount(), 0u);
 }
-
-#endif // T3D_OBS_ENABLED
 
 } // namespace

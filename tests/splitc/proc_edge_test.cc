@@ -185,15 +185,17 @@ TEST(ProcEdge, ComputeAdvancesOnlyOwnClock)
 TEST(ProcEdge, StatisticsAccumulate)
 {
     Machine m(MachineConfig::t3d(2));
+    probes::PerfCounters ctr;
+    m.node(0).shell().setObservability(&ctr, nullptr);
     runSpmd(m, [&](Proc &p) -> ProcTask {
         if (p.pe() == 0) {
             p.storeU64(GlobalAddr::make(1, 0x30000), 1);
             p.storeU64(GlobalAddr::make(1, 0x30020), 2);
-            EXPECT_EQ(p.storesIssued(), 2u);
-            EXPECT_GE(p.annexUpdates(), 1u);
         }
         co_return;
     });
+    EXPECT_EQ(ctr.remoteWriteLines, 2u) << "two stores, two lines";
+    EXPECT_GE(ctr.annexFaults, 1u);
 }
 
 } // namespace

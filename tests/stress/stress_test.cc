@@ -7,8 +7,10 @@
  * differential legs end to end.
  */
 
+#include <cstdlib>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -171,13 +173,11 @@ TEST(StressDifferential, RunIsDeterministic)
             << "seed " << g.seed;
         EXPECT_EQ(rep.reference.checksum, g.checksum) << "seed " << g.seed;
 
-#if T3D_OBS_ENABLED
         std::uint64_t overflows = 0;
         for (const auto &ctr : rep.reference.counters)
             overflows += ctr.amOverflows;
         EXPECT_GT(overflows, 0u)
             << "seed " << g.seed << ": flood must enter the ring";
-#endif
     }
 }
 
@@ -197,6 +197,16 @@ TEST(StressSaturate, FloodCompletesWithModeledSpills)
     EXPECT_GT(rep.amOverflows, 0u) << "flood must enter the ring";
     EXPECT_GT(rep.msgSpills, 0u) << "flood must spill the msg queue";
     EXPECT_GT(rep.receiverFinish, 0u);
+    EXPECT_EQ(rep.error, "");
+
+    // The counts come from PerfCounters: with counters forced off by
+    // the environment the demo refuses instead of reporting zeros.
+    setenv("T3DSIM_COUNTERS", "0", 1);
+    const auto off = stress::runSaturate();
+    unsetenv("T3DSIM_COUNTERS");
+    EXPECT_FALSE(off.completed);
+    EXPECT_NE(off.error.find("T3DSIM_COUNTERS=0"), std::string::npos)
+        << off.error;
 }
 
 } // namespace
