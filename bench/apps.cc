@@ -82,17 +82,14 @@ bsortCrossover(const apps::bsort::Config &cfg, bool &ok)
                       << " did not sort\n";
             ok = false;
         }
-        const std::uint64_t blt =
-            r.countersValid ? r.counters.bltTransfers : 0;
-        const std::uint64_t prefetch =
-            r.countersValid ? r.counters.prefetchIssues : 0;
+        const probes::PerfCounters &c = r.counters;
         std::cout << "crossover bytes=" << bytes
                   << " sim_cycles=" << r.elapsed
-                  << " blt_transfers=" << blt << "\n";
+                  << " blt_transfers=" << c.bltTransfers << "\n";
         abl.rows.push_back({{"crossover_bytes", bytes},
                             {"sim_cycles", r.elapsed},
-                            {"blt_transfers", blt},
-                            {"prefetch_issues", prefetch}});
+                            {"blt_transfers", c.bltTransfers},
+                            {"prefetch_issues", c.prefetchIssues}});
     }
     return abl;
 }
@@ -139,17 +136,15 @@ qcdDepth(const apps::qcd::Config &cfg, bool &ok)
                       << " did not match the reference\n";
             ok = false;
         }
-        const std::uint64_t issues =
-            r.countersValid ? r.counters.prefetchIssues : 0;
-        const std::uint64_t stalls =
-            r.countersValid ? r.counters.prefetchFullStalls : 0;
+        const probes::PerfCounters &c = r.counters;
         std::cout << "depth slots=" << slots
                   << " sim_cycles=" << r.elapsed
-                  << " full_stalls=" << stalls << "\n";
+                  << " full_stalls=" << c.prefetchFullStalls << "\n";
         abl.rows.push_back({{"prefetch_slots", slots},
                             {"sim_cycles", r.elapsed},
-                            {"prefetch_issues", issues},
-                            {"prefetch_full_stalls", stalls}});
+                            {"prefetch_issues", c.prefetchIssues},
+                            {"prefetch_full_stalls",
+                             c.prefetchFullStalls}});
     }
     return abl;
 }

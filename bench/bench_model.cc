@@ -80,20 +80,15 @@ parsePeList(const cli::Args &args, const char *option,
 bool
 obtainModel(const std::string &model_path, model::CostModel &cost)
 {
-    std::string error;
     if (!model_path.empty()) {
+        std::string error;
         if (model::loadCostModelFile(model_path, cost, error))
             return true;
         std::cerr << "error: " << error << "\n";
         return false;
     }
-    const std::vector<model::Sweep> sweeps = model::measureAll(&error);
-    if (sweeps.empty()) {
-        std::cerr << "error: sweeps failed: " << error << "\n";
-        return false;
-    }
     model::FitReport report;
-    cost = model::fitCostModel(sweeps, &report);
+    cost = model::fitCostModel(model::measureAll(), &report);
     for (const std::string &w : report.warnings)
         std::cerr << "fit warning: " << w << "\n";
     return true;
@@ -102,12 +97,7 @@ obtainModel(const std::string &model_path, model::CostModel &cost)
 int
 cmdSweeps(const std::string &out_path)
 {
-    std::string error;
-    const std::vector<model::Sweep> sweeps = model::measureAll(&error);
-    if (sweeps.empty()) {
-        std::cerr << "error: " << error << "\n";
-        return 1;
-    }
+    const std::vector<model::Sweep> sweeps = model::measureAll();
     std::ofstream os(out_path);
     model::writeSweepsJson(os, sweeps);
     if (!os) {
@@ -126,19 +116,15 @@ int
 cmdFit(const std::string &sweeps_path, const std::string &out_path)
 {
     std::vector<model::Sweep> sweeps;
-    std::string error;
-    if (!sweeps_path.empty()) {
+    if (sweeps_path.empty()) {
+        sweeps = model::measureAll();
+    } else {
+        std::string error;
         const model::Json doc = model::Json::parseFile(sweeps_path,
                                                        &error);
         if (!model::readSweepsJson(doc, sweeps, &error)) {
             std::cerr << "error: " << sweeps_path << ": " << error
                       << "\n";
-            return 1;
-        }
-    } else {
-        sweeps = model::measureAll(&error);
-        if (sweeps.empty()) {
-            std::cerr << "error: sweeps failed: " << error << "\n";
             return 1;
         }
     }

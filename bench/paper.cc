@@ -388,7 +388,8 @@ tabNodeParams()
     machine::Machine m(machine::MachineConfig::t3d(2));
     auto &node = m.node(0);
     machine::Workstation ws;
-    // A record of its own, so T3DSIM_COUNTERS cannot switch it off.
+    // The TLB row needs only the TLB's misses: a record of its own
+    // counts them without building a counting machine.
     probes::PerfCounters tlb_counters;
     node.tlb().setCounters(&tlb_counters);
 

@@ -71,9 +71,9 @@ struct MachineConfig
 
     /**
      * Observability switches (counters, shell-event trace, dump
-     * paths). Off by default; the Machine constructor additionally
-     * honours the T3DSIM_COUNTERS / T3DSIM_TRACE environment
-     * variables. See docs/OBSERVABILITY.md.
+     * paths). Off by default; the T3DSIM_COUNTERS / T3DSIM_TRACE
+     * environment variables can switch a channel on, never off
+     * (probes::ObsConfig::fromEnv). See docs/OBSERVABILITY.md.
      */
     probes::ObsConfig observe{};
 

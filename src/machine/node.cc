@@ -275,7 +275,7 @@ Node::enableObservability(bool counters_on, probes::TraceSink *trace)
 {
     _countersOn = counters_on;
     if (counters_on)
-        counters(); // materialize while still serial
+        counters(); // materialize for countersIfEnabled()
     probes::PerfCounters *ctr = countersIfEnabled();
     _core.setCounters(ctr);
     _tlb.setCounters(ctr);

@@ -53,6 +53,19 @@ makePoint(double x, Cycles elapsed, const PerfCounters &before,
     return p;
 }
 
+/** Run @p body as one timed region of @p node: the point's cycles
+ *  and counter deltas are @p node's, scaled by @p scale. */
+template <typename Body>
+SweepPoint
+timedPoint(machine::Node &node, double x, Body &&body, double scale = 1.0)
+{
+    const PerfCounters before = node.counters();
+    const Cycles t0 = node.clock().now();
+    body();
+    return makePoint(x, node.clock().now() - t0, before, node.counters(),
+                     scale);
+}
+
 Sweep
 localReadHit()
 {
@@ -62,12 +75,10 @@ localReadHit()
         n0.loadU64(0x1000 + 8 * i); // warm two lines
     Sweep s{"local_read_hit", "reads", {}, "warmed cached loads"};
     for (unsigned n : {32u, 64u, 128u, 256u, 512u}) {
-        const PerfCounters before = n0.counters();
-        const Cycles t0 = n0.clock().now();
-        for (unsigned i = 0; i < n; ++i)
-            n0.loadU64(0x1000 + 8 * (i % 8));
-        s.points.push_back(
-            makePoint(n, n0.clock().now() - t0, before, n0.counters()));
+        s.points.push_back(timedPoint(n0, n, [&] {
+            for (unsigned i = 0; i < n; ++i)
+                n0.loadU64(0x1000 + 8 * (i % 8));
+        }));
     }
     return s;
 }
@@ -82,13 +93,11 @@ localWriteLines()
     Sweep s{"local_write_lines", "lines",
             {}, "one store per 32 B line, MB drain included"};
     for (unsigned n : {16u, 32u, 64u, 128u}) {
-        const PerfCounters before = n0.counters();
-        const Cycles t0 = n0.clock().now();
-        for (unsigned i = 0; i < n; ++i)
-            n0.storeU64(0x4000 + 32 * (i % 512), i);
-        n0.mb();
-        s.points.push_back(
-            makePoint(n, n0.clock().now() - t0, before, n0.counters()));
+        s.points.push_back(timedPoint(n0, n, [&] {
+            for (unsigned i = 0; i < n; ++i)
+                n0.storeU64(0x4000 + 32 * (i % 512), i);
+            n0.mb();
+        }));
     }
     return s;
 }
@@ -103,13 +112,11 @@ localWriteMerged()
     Sweep s{"local_write_merged", "stores",
             {}, "sequential stores, four per line merge in the WB"};
     for (unsigned n : {64u, 128u, 256u, 512u}) {
-        const PerfCounters before = n0.counters();
-        const Cycles t0 = n0.clock().now();
-        for (unsigned i = 0; i < n; ++i)
-            n0.storeU64(0x8000 + 8 * (i % 2048), i);
-        n0.mb();
-        s.points.push_back(
-            makePoint(n, n0.clock().now() - t0, before, n0.counters()));
+        s.points.push_back(timedPoint(n0, n, [&] {
+            for (unsigned i = 0; i < n; ++i)
+                n0.storeU64(0x8000 + 8 * (i % 2048), i);
+            n0.mb();
+        }));
     }
     return s;
 }
@@ -124,12 +131,10 @@ localReadMiss()
     Sweep s{"local_read_miss", "reads",
             {}, "16 KiB region: every load misses L1, hits the page"};
     for (unsigned n : {32u, 64u, 128u, 256u}) {
-        const PerfCounters before = n0.counters();
-        const Cycles t0 = n0.clock().now();
-        for (unsigned i = 0; i < n; ++i)
-            n0.loadU64(base + 32 * (i % 512));
-        s.points.push_back(
-            makePoint(n, n0.clock().now() - t0, before, n0.counters()));
+        s.points.push_back(timedPoint(n0, n, [&] {
+            for (unsigned i = 0; i < n; ++i)
+                n0.loadU64(base + 32 * (i % 512));
+        }));
     }
     return s;
 }
@@ -144,12 +149,10 @@ localReadOffpage()
     Sweep s{"local_read_offpage", "reads",
             {}, "16 KiB stride: every load misses L1 and the DRAM page"};
     for (unsigned n : {32u, 64u, 128u, 256u}) {
-        const PerfCounters before = n0.counters();
-        const Cycles t0 = n0.clock().now();
-        for (unsigned i = 0; i < n; ++i)
-            n0.loadU64(base + 16 * KiB * (i % 128));
-        s.points.push_back(
-            makePoint(n, n0.clock().now() - t0, before, n0.counters()));
+        s.points.push_back(timedPoint(n0, n, [&] {
+            for (unsigned i = 0; i < n; ++i)
+                n0.loadU64(base + 16 * KiB * (i % 128));
+        }));
     }
     return s;
 }
@@ -167,12 +170,10 @@ splitcReadFixed()
                 co_return;
             p.readU64(splitc::GlobalAddr::make(1, 0)); // warm
             for (unsigned n : {8u, 16u, 32u, 64u}) {
-                const PerfCounters before = p.node().counters();
-                const Cycles t0 = p.now();
-                for (unsigned i = 0; i < n; ++i)
-                    p.readU64(splitc::GlobalAddr::make(1, 0));
-                s.points.push_back(makePoint(n, p.now() - t0, before,
-                                             p.node().counters()));
+                s.points.push_back(timedPoint(p.node(), n, [&] {
+                    for (unsigned i = 0; i < n; ++i)
+                        p.readU64(splitc::GlobalAddr::make(1, 0));
+                }));
             }
             co_return;
         });
@@ -193,14 +194,12 @@ splitcReadDistance()
             constexpr unsigned reads = 16;
             for (PeId target : {1u, 4u, 5u, 16u, 21u, 42u, 63u}) {
                 p.readU64(splitc::GlobalAddr::make(target, 0)); // warm
-                const PerfCounters before = p.node().counters();
-                const Cycles t0 = p.now();
-                for (unsigned i = 0; i < reads; ++i)
-                    p.readU64(splitc::GlobalAddr::make(target, 0));
-                s.points.push_back(
-                    makePoint(double(m.torus().hops(0, target)),
-                              p.now() - t0, before,
-                              p.node().counters()));
+                s.points.push_back(timedPoint(
+                    p.node(), double(m.torus().hops(0, target)), [&] {
+                        for (unsigned i = 0; i < reads; ++i)
+                            p.readU64(
+                                splitc::GlobalAddr::make(target, 0));
+                    }));
             }
             co_return;
         });
@@ -221,13 +220,11 @@ splitcReadAlternate()
             p.readU64(splitc::GlobalAddr::make(1, 0));
             p.readU64(splitc::GlobalAddr::make(2, 0)); // warm both
             for (unsigned n : {8u, 16u, 32u, 64u}) {
-                const PerfCounters before = p.node().counters();
-                const Cycles t0 = p.now();
-                for (unsigned i = 0; i < n; ++i)
-                    p.readU64(
-                        splitc::GlobalAddr::make(1 + (i & 1), 0));
-                s.points.push_back(makePoint(n, p.now() - t0, before,
-                                             p.node().counters()));
+                s.points.push_back(timedPoint(p.node(), n, [&] {
+                    for (unsigned i = 0; i < n; ++i)
+                        p.readU64(
+                            splitc::GlobalAddr::make(1 + (i & 1), 0));
+                }));
             }
             co_return;
         });
@@ -251,15 +248,13 @@ splitcPutStream()
             // constant tail, and the no-intercept group fit needs it
             // small relative to the per-line stream cost.
             for (unsigned n : {64u, 128u, 256u, 512u}) {
-                const PerfCounters before = p.node().counters();
-                const Cycles t0 = p.now();
-                for (unsigned i = 0; i < n; ++i)
-                    p.putU64(
-                        splitc::GlobalAddr::make(1, 32 * (i % 256)),
-                        i);
-                p.sync();
-                s.points.push_back(makePoint(n, p.now() - t0, before,
-                                             p.node().counters()));
+                s.points.push_back(timedPoint(p.node(), n, [&] {
+                    for (unsigned i = 0; i < n; ++i)
+                        p.putU64(
+                            splitc::GlobalAddr::make(1, 32 * (i % 256)),
+                            i);
+                    p.sync();
+                }));
             }
             co_return;
         });
@@ -279,17 +274,16 @@ splitcGetGroups()
                 co_return;
             p.readU64(splitc::GlobalAddr::make(1, 0)); // warm
             for (unsigned n : {16u, 32u, 64u, 128u}) {
-                const PerfCounters before = p.node().counters();
-                const Cycles t0 = p.now();
-                for (unsigned i = 0; i < n; ++i) {
-                    p.getU64(splitc::GlobalAddr::make(1, 8 * (i % 8)),
-                             0x100 + 8 * (i % 8));
-                    if (i % 8 == 7)
-                        p.sync();
-                }
-                p.sync();
-                s.points.push_back(makePoint(n, p.now() - t0, before,
-                                             p.node().counters()));
+                s.points.push_back(timedPoint(p.node(), n, [&] {
+                    for (unsigned i = 0; i < n; ++i) {
+                        p.getU64(
+                            splitc::GlobalAddr::make(1, 8 * (i % 8)),
+                            0x100 + 8 * (i % 8));
+                        if (i % 8 == 7)
+                            p.sync();
+                    }
+                    p.sync();
+                }));
             }
             co_return;
         });
@@ -309,17 +303,16 @@ splitcGetDeep()
                 co_return;
             p.readU64(splitc::GlobalAddr::make(1, 0)); // warm
             for (unsigned n : {64u, 128u, 256u}) {
-                const PerfCounters before = p.node().counters();
-                const Cycles t0 = p.now();
-                for (unsigned i = 0; i < n; ++i) {
-                    p.getU64(splitc::GlobalAddr::make(1, 8 * (i % 8)),
-                             0x100 + 8 * (i % 8));
-                    if (i % 64 == 63)
-                        p.sync();
-                }
-                p.sync();
-                s.points.push_back(makePoint(n, p.now() - t0, before,
-                                             p.node().counters()));
+                s.points.push_back(timedPoint(p.node(), n, [&] {
+                    for (unsigned i = 0; i < n; ++i) {
+                        p.getU64(
+                            splitc::GlobalAddr::make(1, 8 * (i % 8)),
+                            0x100 + 8 * (i % 8));
+                        if (i % 64 == 63)
+                            p.sync();
+                    }
+                    p.sync();
+                }));
             }
             co_return;
         });
@@ -337,23 +330,17 @@ messagingSweeps(Sweep &send, Sweep &dispatch)
             for (unsigned n : {4u, 8u, 16u, 32u}) {
                 co_await p.barrier();
                 if (p.pe() == 0) {
-                    const PerfCounters before = p.node().counters();
-                    const Cycles t0 = p.now();
-                    for (unsigned i = 0; i < n; ++i)
-                        p.sendMessage(1, words);
-                    send.points.push_back(
-                        makePoint(n, p.now() - t0, before,
-                                  p.node().counters()));
+                    send.points.push_back(timedPoint(p.node(), n, [&] {
+                        for (unsigned i = 0; i < n; ++i)
+                            p.sendMessage(1, words);
+                    }));
                 }
                 co_await p.barrier();
                 if (p.pe() == 1) {
-                    const PerfCounters before = p.node().counters();
-                    const Cycles t0 = p.now();
-                    for (unsigned i = 0; i < n; ++i)
-                        p.takeMessage(false);
-                    dispatch.points.push_back(
-                        makePoint(n, p.now() - t0, before,
-                                  p.node().counters()));
+                    dispatch.points.push_back(timedPoint(p.node(), n, [&] {
+                        for (unsigned i = 0; i < n; ++i)
+                            p.takeMessage(false);
+                    }));
                 }
             }
             co_return;
@@ -372,12 +359,10 @@ fetchIncSweep()
                 co_return;
             p.fetchInc(1, 0); // warm
             for (unsigned n : {4u, 8u, 16u, 32u}) {
-                const PerfCounters before = p.node().counters();
-                const Cycles t0 = p.now();
-                for (unsigned i = 0; i < n; ++i)
-                    p.fetchInc(1, 0);
-                s.points.push_back(makePoint(n, p.now() - t0, before,
-                                             p.node().counters()));
+                s.points.push_back(timedPoint(p.node(), n, [&] {
+                    for (unsigned i = 0; i < n; ++i)
+                        p.fetchInc(1, 0);
+                }));
             }
             co_return;
         });
@@ -395,6 +380,8 @@ barrierSweep()
             m,
             [&](splitc::Proc &p) -> splitc::ProcTask {
                 co_await p.barrier(); // warm
+                // Timed by hand: the region co_awaits, which a
+                // timedPoint() body cannot.
                 constexpr unsigned reps = 8;
                 PerfCounters before;
                 Cycles t0 = 0;
@@ -428,20 +415,18 @@ bltSweep(bool write)
                 co_return;
             for (std::size_t bytes :
                  {4 * KiB, 16 * KiB, 64 * KiB, 256 * KiB, 1 * MiB}) {
-                const PerfCounters before = p.node().counters();
-                const Cycles t0 = p.now();
-                if (write)
-                    p.bulkWriteBlt(
-                        splitc::GlobalAddr::make(1, 0x100000),
-                        0x400000, bytes);
-                else
-                    p.bulkReadBlt(
-                        0x400000,
-                        splitc::GlobalAddr::make(1, 0x100000), bytes);
-                p.node().mb();
-                s.points.push_back(makePoint(double(bytes),
-                                             p.now() - t0, before,
-                                             p.node().counters()));
+                s.points.push_back(timedPoint(p.node(), double(bytes), [&] {
+                    if (write)
+                        p.bulkWriteBlt(
+                            splitc::GlobalAddr::make(1, 0x100000),
+                            0x400000, bytes);
+                    else
+                        p.bulkReadBlt(
+                            0x400000,
+                            splitc::GlobalAddr::make(1, 0x100000),
+                            bytes);
+                    p.node().mb();
+                }));
             }
             co_return;
         });
@@ -462,15 +447,12 @@ bulkGetPrefetchSweep()
             p.readU64(splitc::GlobalAddr::make(1, 0)); // warm
             for (std::size_t bytes :
                  {512ul, 2 * KiB, 8 * KiB, 32 * KiB, 64 * KiB}) {
-                const PerfCounters before = p.node().counters();
-                const Cycles t0 = p.now();
-                p.bulkReadPrefetch(
-                    0x400000, splitc::GlobalAddr::make(1, 0x100000),
-                    bytes);
-                p.node().mb();
-                s.points.push_back(makePoint(double(bytes),
-                                             p.now() - t0, before,
-                                             p.node().counters()));
+                s.points.push_back(timedPoint(p.node(), double(bytes), [&] {
+                    p.bulkReadPrefetch(
+                        0x400000, splitc::GlobalAddr::make(1, 0x100000),
+                        bytes);
+                    p.node().mb();
+                }));
             }
             co_return;
         });
@@ -488,19 +470,20 @@ prefetchGroupSweep()
         n0.shell().setAnnex(1, {1, shell::ReadMode::Uncached});
         n0.loadU64(alpha::makeAnnexedVa(1, 0)); // warm
         constexpr unsigned reps = 16;
-        const PerfCounters before = n0.counters();
-        const Cycles t0 = n0.clock().now();
-        for (unsigned r = 0; r < reps; ++r) {
-            for (unsigned i = 0; i < group; ++i)
-                n0.fetchHint(alpha::makeAnnexedVa(1, 8 * i));
-            if (n0.shell().prefetch().needsMbBeforePop())
-                n0.mb();
-            for (unsigned i = 0; i < group; ++i)
-                n0.core().storeU64(0x100 + 8 * i, n0.popPrefetch());
-        }
-        s.points.push_back(makePoint(group, n0.clock().now() - t0,
-                                     before, n0.counters(),
-                                     1.0 / reps));
+        s.points.push_back(timedPoint(
+            n0, group,
+            [&] {
+                for (unsigned r = 0; r < reps; ++r) {
+                    for (unsigned i = 0; i < group; ++i)
+                        n0.fetchHint(alpha::makeAnnexedVa(1, 8 * i));
+                    if (n0.shell().prefetch().needsMbBeforePop())
+                        n0.mb();
+                    for (unsigned i = 0; i < group; ++i)
+                        n0.core().storeU64(0x100 + 8 * i,
+                                           n0.popPrefetch());
+                }
+            },
+            1.0 / reps));
     }
     return s;
 }
@@ -508,18 +491,8 @@ prefetchGroupSweep()
 } // namespace
 
 std::vector<Sweep>
-measureAll(std::string *error)
+measureAll()
 {
-    {
-        Machine probe(countedConfig(2));
-        if (!probe.countersEnabled()) {
-            if (error)
-                *error = "perf counters are disabled (do not set "
-                         "T3DSIM_COUNTERS=0 in the environment)";
-            return {};
-        }
-    }
-
     std::vector<Sweep> sweeps;
     sweeps.push_back(localReadHit());
     sweeps.push_back(localWriteLines());
@@ -546,8 +519,6 @@ measureAll(std::string *error)
     sweeps.push_back(bltSweep(true));
     sweeps.push_back(bulkGetPrefetchSweep());
     sweeps.push_back(prefetchGroupSweep());
-    if (error)
-        error->clear();
     return sweeps;
 }
 

@@ -16,7 +16,6 @@
 #ifndef T3DSIM_MODEL_MEASURE_HH
 #define T3DSIM_MODEL_MEASURE_HH
 
-#include <string>
 #include <vector>
 
 #include "model/sweep.hh"
@@ -26,13 +25,11 @@ namespace t3dsim::model
 
 /**
  * Run every micro-sweep the fitter knows how to price (the fit
- * groups of primitives.cc plus the headline curves).
- *
- * @return the sweeps, or an empty vector with *error set when the
- *         build or environment has counters disabled (the fitter
- *         would see all-zero deltas).
+ * groups of primitives.cc plus the headline curves). Every sweep
+ * machine is configured to count, and the environment cannot switch
+ * counting off, so the deltas are always real.
  */
-std::vector<Sweep> measureAll(std::string *error = nullptr);
+std::vector<Sweep> measureAll();
 
 } // namespace t3dsim::model
 

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <ostream>
+#include <string_view>
 
 namespace t3dsim::probes
 {
@@ -91,28 +92,20 @@ writeCountersCsv(std::ostream &os, const std::vector<PerfCounters> &per_pe)
 ObsConfig
 ObsConfig::fromEnv(ObsConfig base)
 {
-    const auto apply = [](const char *var, bool &flag, std::string &path) {
-        const char *v = std::getenv(var);
-        if (!v)
+    const auto apply = [](const char *var, std::string_view default_path,
+                          bool &flag, std::string &path) {
+        const char *env = std::getenv(var);
+        const std::string_view v = env ? env : "";
+        if (v.empty() || v == "0")
             return;
-        const std::string s{v};
-        if (s.empty() || s == "0") {
-            flag = false;
-            return;
-        }
         flag = true;
-        if (s != "1")
-            path = s;
+        if (path.empty())
+            path = v == "1" ? default_path : v;
     };
-    apply("T3DSIM_COUNTERS", base.counters, base.countersPath);
-    apply("T3DSIM_TRACE", base.trace, base.tracePath);
-    // A trace destination implies the channel writes somewhere even
-    // when only the flag form ("1") was given.
-    if (base.trace && base.tracePath.empty())
-        base.tracePath = "t3dsim.trace.json";
-    if (base.counters && base.countersPath.empty() &&
-        std::getenv("T3DSIM_COUNTERS"))
-        base.countersPath = "t3dsim.counters.json";
+    apply("T3DSIM_COUNTERS", "t3dsim.counters.json", base.counters,
+          base.countersPath);
+    apply("T3DSIM_TRACE", "t3dsim.trace.json", base.trace,
+          base.tracePath);
     return base;
 }
 

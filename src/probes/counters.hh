@@ -8,9 +8,10 @@
  * owns one PerfCounters record; components hold a pointer to it that
  * is null until the machine is constructed with
  * MachineConfig::observe.counters set (or T3DSIM_COUNTERS in the
- * environment). Bump sites go through the T3D_COUNT macros, so a
- * disabled run costs one predicted branch per site. PerfCounters is
- * the only event count: components keep no private tallies.
+ * environment, which can add the channel but never remove it). Bump
+ * sites go through the T3D_COUNT macros, so a disabled run costs one
+ * predicted branch per site. PerfCounters is the only event count:
+ * components keep no private tallies.
  *
  * Counters are host-side bookkeeping only: bumping them never reads
  * or advances a Clock, so enabling them cannot perturb simulated
@@ -179,10 +180,14 @@ struct ObsConfig
     std::size_t traceEventCap = 1u << 20;
 
     /**
-     * Environment overrides, applied by the Machine constructor:
-     * T3DSIM_COUNTERS / T3DSIM_TRACE enable the corresponding
-     * channel; a value other than "1" doubles as the dump path, and
-     * "0" forces the channel off.
+     * Environment additions, applied by the Machine constructor.
+     * T3DSIM_COUNTERS / T3DSIM_TRACE = "1" switch the channel on with
+     * the dump path t3dsim.{counters,trace}.json; any other value but
+     * "0" switches it on and is the dump path. A path @p base already
+     * names is kept: it is the one the program reports. Unset, empty
+     * or "0" leave @p base as it is: the environment never switches a
+     * channel off, and a channel the config enables without a path
+     * keeps in-process records only.
      */
     static ObsConfig fromEnv(ObsConfig base);
 };

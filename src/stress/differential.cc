@@ -114,11 +114,6 @@ runSaturate()
     mc.shell.msgQueueCapacity = 64;
 
     machine::Machine m(mc);
-    if (!m.countersEnabled()) {
-        rep.error = "perf counters are disabled (do not set "
-                    "T3DSIM_COUNTERS=0 in the environment)";
-        return rep;
-    }
     constexpr std::uint64_t tag = 20;
     std::uint64_t handled = 0, received = 0;
 

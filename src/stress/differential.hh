@@ -64,9 +64,6 @@ SeedReport runDifferential(const StressConfig &cfg);
  */
 struct SaturateReport
 {
-    /** Why the demo refused to run (counters disabled); empty if it
-     *  ran. */
-    std::string error;
     bool completed = false;
     std::uint64_t amDeposits = 0;
     std::uint64_t amOverflows = 0; ///< rerouted to the overflow ring

@@ -187,6 +187,7 @@ simulate(const TaskGraph &graph, const Plan &plan,
     machine::MachineConfig mconfig =
         machine::MachineConfig::t3d(plan.pes);
     mconfig.observe.trace = options.trace;
+    mconfig.observe.tracePath = options.tracePath;
 
     machine::Machine machine(mconfig);
 
@@ -217,11 +218,8 @@ simulate(const TaskGraph &graph, const Plan &plan,
     }
     result.checksum = checksum;
 
-    if (const probes::TraceSink *trace = machine.trace()) {
+    if (const probes::TraceSink *trace = machine.trace())
         result.traceEvents = trace->eventCount();
-        if (!options.tracePath.empty())
-            trace->writeFile(options.tracePath);
-    }
     return result;
 }
 

@@ -25,7 +25,9 @@ struct RunOptions
     int hostThreads = -1;
 
     /** Enable the shell-event trace; when @p tracePath is non-empty
-     *  the Chrome JSON is written there after the run. */
+     *  the run's end-of-run flush (Machine::flushObservability)
+     *  writes the Chrome JSON there, else the trace stays in
+     *  process and only its event count is reported. */
     bool trace = false;
     std::string tracePath;
 };

@@ -91,9 +91,8 @@ TEST(SignatureScaling, ExtrapolatesGeneratingLaws)
  *  under-10% median (docs/MODEL.md §6 reports the full matrix). */
 TEST(RoundTrip, FittedModelPredictsAppLadders)
 {
-    std::string error;
-    const std::vector<Sweep> sweeps = measureAll(&error);
-    ASSERT_FALSE(sweeps.empty()) << error;
+    const std::vector<Sweep> sweeps = measureAll();
+    ASSERT_FALSE(sweeps.empty());
     const CostModel m = fitCostModel(sweeps);
 
     apps::qcd::Config qcfg; // 4^4 sites, 2 sweeps — fast

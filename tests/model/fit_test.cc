@@ -179,18 +179,18 @@ TEST(FitCostModel, ClampedTermFlagsNonzeroCount)
 /** The real micro-sweeps must be explained by their own fit. */
 TEST(FitCostModel, RealSweepsFitWithinResidualBand)
 {
-    std::string error;
-    // The sweeps price counters: with counters forced off by the
-    // environment they refuse to measure and name the variable.
-    setenv("T3DSIM_COUNTERS", "0", 1);
-    EXPECT_TRUE(measureAll(&error).empty());
-    unsetenv("T3DSIM_COUNTERS");
-    EXPECT_NE(error.find("T3DSIM_COUNTERS=0"), std::string::npos)
-        << error;
+    const std::vector<Sweep> sweeps = measureAll();
+    ASSERT_FALSE(sweeps.empty());
 
-    error.clear();
-    const std::vector<Sweep> sweeps = measureAll(&error);
-    ASSERT_FALSE(sweeps.empty()) << error;
+    // The sweeps price counters, and their machines ask to count:
+    // T3DSIM_COUNTERS=0 in the environment must not change a point.
+    setenv("T3DSIM_COUNTERS", "0", 1);
+    const std::vector<Sweep> env0 = measureAll();
+    unsetenv("T3DSIM_COUNTERS");
+    std::ostringstream unset_json, env0_json;
+    writeSweepsJson(unset_json, sweeps);
+    writeSweepsJson(env0_json, env0);
+    EXPECT_EQ(env0_json.str(), unset_json.str());
 
     FitReport report;
     const CostModel m = fitCostModel(sweeps, &report);
@@ -225,10 +225,10 @@ TEST(FitCostModel, RealSweepsFitWithinResidualBand)
 /** Sweeps and fitted models survive their JSON round trip. */
 TEST(ModelJson, SweepAndModelRoundTrip)
 {
-    std::string error;
-    const std::vector<Sweep> sweeps = measureAll(&error);
-    ASSERT_FALSE(sweeps.empty()) << error;
+    const std::vector<Sweep> sweeps = measureAll();
+    ASSERT_FALSE(sweeps.empty());
 
+    std::string error;
     std::ostringstream ss;
     writeSweepsJson(ss, sweeps);
     const Json doc = Json::parse(ss.str(), &error);

@@ -152,19 +152,59 @@ TEST(Counters, FromEnvEnablesAndOverridesPaths)
     EXPECT_EQ(obs.tracePath, "/tmp/custom.trace.json");
 }
 
-TEST(Counters, FromEnvZeroForcesOff)
+TEST(Counters, FromEnvZeroKeepsBase)
 {
+    // "0" and the empty value add nothing and take nothing away: a
+    // channel the config asks for stays on, with its own path or none.
     ObsConfig base;
     base.counters = true;
+    base.countersPath = "mine.json";
     base.trace = true;
+    for (const char *value : {"0", ""}) {
+        setenv("T3DSIM_COUNTERS", value, 1);
+        setenv("T3DSIM_TRACE", value, 1);
+        const ObsConfig obs = ObsConfig::fromEnv(base);
+        unsetenv("T3DSIM_COUNTERS");
+        unsetenv("T3DSIM_TRACE");
+
+        EXPECT_TRUE(obs.counters) << "'" << value << "'";
+        EXPECT_EQ(obs.countersPath, "mine.json") << "'" << value << "'";
+        EXPECT_TRUE(obs.trace) << "'" << value << "'";
+        EXPECT_EQ(obs.tracePath, "") << "'" << value << "'";
+    }
+
+    // And a config with the channels off stays off.
     setenv("T3DSIM_COUNTERS", "0", 1);
     setenv("T3DSIM_TRACE", "0", 1);
-    const ObsConfig obs = ObsConfig::fromEnv(base);
+    const ObsConfig off = ObsConfig::fromEnv(ObsConfig{});
     unsetenv("T3DSIM_COUNTERS");
     unsetenv("T3DSIM_TRACE");
+    EXPECT_FALSE(off.counters);
+    EXPECT_FALSE(off.trace);
+}
 
-    EXPECT_FALSE(obs.counters);
-    EXPECT_FALSE(obs.trace);
+TEST(Counters, FromEnvKeepsConfigPath)
+{
+    // A path the config names is the one the program reports, so
+    // neither "1" nor a path from the environment replaces it; a
+    // channel without one takes the environment's.
+    ObsConfig base;
+    base.counters = true;
+    base.countersPath = "mine.json";
+    for (const char *value : {"1", "env.json"}) {
+        setenv("T3DSIM_COUNTERS", value, 1);
+        setenv("T3DSIM_TRACE", value, 1);
+        const ObsConfig obs = ObsConfig::fromEnv(base);
+        unsetenv("T3DSIM_COUNTERS");
+        unsetenv("T3DSIM_TRACE");
+
+        EXPECT_EQ(obs.countersPath, "mine.json") << value;
+        EXPECT_TRUE(obs.trace) << value;
+        EXPECT_EQ(obs.tracePath, value == std::string("1")
+                                     ? "t3dsim.trace.json"
+                                     : value)
+            << value;
+    }
 }
 
 TEST(Counters, FromEnvAbsentKeepsBase)

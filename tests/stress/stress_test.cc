@@ -197,16 +197,18 @@ TEST(StressSaturate, FloodCompletesWithModeledSpills)
     EXPECT_GT(rep.amOverflows, 0u) << "flood must enter the ring";
     EXPECT_GT(rep.msgSpills, 0u) << "flood must spill the msg queue";
     EXPECT_GT(rep.receiverFinish, 0u);
-    EXPECT_EQ(rep.error, "");
 
-    // The counts come from PerfCounters: with counters forced off by
-    // the environment the demo refuses instead of reporting zeros.
+    // The counts come from PerfCounters on a machine configured to
+    // count: T3DSIM_COUNTERS=0 in the environment changes none.
     setenv("T3DSIM_COUNTERS", "0", 1);
-    const auto off = stress::runSaturate();
+    const auto env0 = stress::runSaturate();
     unsetenv("T3DSIM_COUNTERS");
-    EXPECT_FALSE(off.completed);
-    EXPECT_NE(off.error.find("T3DSIM_COUNTERS=0"), std::string::npos)
-        << off.error;
+    EXPECT_TRUE(env0.completed);
+    EXPECT_EQ(env0.amOverflows, rep.amOverflows);
+    EXPECT_EQ(env0.amHandled, rep.amHandled);
+    EXPECT_EQ(env0.msgSpills, rep.msgSpills);
+    EXPECT_EQ(env0.msgsReceived, rep.msgsReceived);
+    EXPECT_EQ(env0.receiverFinish, rep.receiverFinish);
 }
 
 } // namespace

@@ -3,17 +3,22 @@
  * JobService contract: 64+ concurrent jobs answer correctly across a
  * worker pool, repeats are served from the cache without
  * re-simulating (leader/follower coalescing), cached answers are
- * byte-identical to standalone execution, and malformed requests get
- * typed error responses.
+ * byte-identical to standalone execution, a traced job writes only
+ * the trace file it names, and malformed requests get typed error
+ * responses.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "model/json.hh"
 #include "model/primitives.hh"
@@ -113,6 +118,28 @@ expectRefusedThenAnswersNext(const std::string &graph, int pes,
         << out.responses[3];
     EXPECT_EQ(service.stats().errors, 2u);
     EXPECT_EQ(service.stats().simulations, 1u);
+}
+
+/** @p line with `"trace": true` added after its "pes" member. */
+std::string
+tracedLine(std::string line)
+{
+    const std::string pes = "\"pes\": 4";
+    line.insert(line.find(pes) + pes.size(), ", \"trace\": true");
+    return line;
+}
+
+/** An empty directory of this process's own under the test temp
+ *  dir. */
+std::filesystem::path
+freshDir(const std::string &name)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        (name + "." + std::to_string(getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
 }
 
 /** Everything past the volatile cache field: the executed payload. */
@@ -265,6 +292,59 @@ TEST(JobService, MatchesStandaloneExecution)
     EXPECT_TRUE(contains(standalone, "\"makespan_cycles\":"));
     EXPECT_TRUE(contains(standalone, "\"finish_hash\":\"0x"));
     EXPECT_TRUE(contains(standalone, "\"checksum\":\"0x"));
+}
+
+TEST(JobService, TracedJobWritesItsTracePathWhateverTheEnvironment)
+{
+    const std::string line = tracedLine(jobLine("tr", "simulate", 66));
+    const std::filesystem::path dir = freshDir("t3dsim_serve_trace");
+    const model::CostModel model = model::defaultCostModel();
+
+    const std::string unset =
+        JobService::runStandalone(line, model, dir.string());
+    const model::Json doc = model::Json::parse(unset);
+    ASSERT_GT(doc["trace_events"].number(), 0) << unset;
+    const std::filesystem::path trace = doc["trace_path"].str();
+    ASSERT_TRUE(std::filesystem::exists(trace)) << unset;
+    std::filesystem::remove(trace);
+
+    // The request asks for the trace and the service names its file:
+    // T3DSIM_TRACE=0 must not take the trace away, and a path in
+    // T3DSIM_TRACE must not move it. Same answer, one file, written
+    // where the answer says.
+    const std::string env_path = (dir / "env.trace.json").string();
+    for (const std::string &value : {std::string("0"), env_path}) {
+        setenv("T3DSIM_TRACE", value.c_str(), 1);
+        const std::string answer =
+            JobService::runStandalone(line, model, dir.string());
+        unsetenv("T3DSIM_TRACE");
+        EXPECT_EQ(answer, unset) << value;
+        EXPECT_TRUE(std::filesystem::exists(trace)) << value;
+        EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                                std::filesystem::directory_iterator()),
+                  1)
+            << value << ": one trace file per job";
+        std::filesystem::remove(trace);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(JobService, TracedJobWithoutTraceDirWritesNoFile)
+{
+    const std::filesystem::path dir = freshDir("t3dsim_serve_cwd");
+    const std::filesystem::path cwd = std::filesystem::current_path();
+    std::filesystem::current_path(dir);
+    const std::string response = JobService::runStandalone(
+        tracedLine(jobLine("tr", "simulate", 66)),
+        model::defaultCostModel(), "");
+    std::filesystem::current_path(cwd);
+
+    EXPECT_TRUE(contains(response, "\"trace_events\":")) << response;
+    EXPECT_FALSE(contains(response, "\"trace_path\"")) << response;
+    EXPECT_TRUE(std::filesystem::is_empty(dir))
+        << "a traced job without a trace dir wrote into the working "
+           "directory";
+    std::filesystem::remove_all(dir);
 }
 
 TEST(JobService, RejectsMalformedRequests)
